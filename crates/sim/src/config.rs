@@ -117,6 +117,13 @@ pub struct AcceleratorConfig {
     pub halt_at_cycle: Option<u64>,
 }
 
+/// The stall watchdog: a run that makes no progress (no state change, no
+/// memory in flight) for more than this many consecutive cycles is
+/// declared deadlocked with [`SimError::Deadlock`].
+///
+/// [`SimError::Deadlock`]: crate::SimError::Deadlock
+pub(crate) const DEADLOCK_STALL_CYCLES: u64 = 100_000;
+
 impl Default for AcceleratorConfig {
     fn default() -> Self {
         AcceleratorConfig {

@@ -1,6 +1,7 @@
 //! The accelerator execution engine: task units, queues, tiles, and the
 //! top-level cycle loop.
 
+use crate::config::DEADLOCK_STALL_CYCLES;
 use crate::fault::{
     BlockedTask, DeadlockDiagnosis, FaultRt, RespFault, UnitWaitState, WaitCause, WaitEdge,
     WaitKind,
@@ -473,11 +474,43 @@ struct TaskUnit {
     /// A spawn into this unit was refused this cycle (feeds the
     /// `full_cycles` queue statistic); cleared every cycle.
     spawn_refused: bool,
+    /// Live entries holding a parked context (`saved` is set): suspended
+    /// on a sync or a call, or re-parked by quarantine. Maintained where
+    /// a context parks and where dispatch takes it back.
+    parked: usize,
 }
 
 impl TaskUnit {
+    /// Live queue entries. Every slot is exactly one of free, reserved by
+    /// an in-flight refill, or live, so the count falls out of the free
+    /// list without walking the queue.
     fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        let live =
+            self.entries.len() - self.free.len() - usize::from(self.pending_refill.is_some());
+        debug_assert_eq!(live, self.entries.iter().filter(|e| e.is_some()).count());
+        live
+    }
+
+    /// Live entries with a parked context (see [`TaskUnit::parked`]). A
+    /// sync waiter always holds its context, so this counts them too.
+    fn parked(&self) -> usize {
+        debug_assert!(self.entries.iter().flatten().all(|e| !e.waiting_sync || e.saved.is_some()));
+        debug_assert_eq!(
+            self.parked,
+            self.entries.iter().flatten().filter(|e| e.saved.is_some()).count()
+        );
+        self.parked
+    }
+
+    /// Park a tile's instance back in its queue entry.
+    fn park(&mut self, exec: Exec) -> &mut QueueEntry {
+        // invariant: a running exec always back-references the queue entry
+        // it was dispatched from, and that entry is not freed until the
+        // task completes.
+        let entry = self.entries[exec.slot].as_mut().expect("running entry exists");
+        entry.saved = Some(Box::new(exec));
+        self.parked += 1;
+        entry
     }
 }
 
@@ -918,6 +951,45 @@ fn dec_call_ret(d: &mut Dec) -> Result<Option<CallRet>, String> {
     })
 }
 
+/// The queue invariants the engine's derived counts rely on: slot indices
+/// are in range, every slot is exactly one of free, reserved by the
+/// pending refill, or live, and the ready list names only live slots.
+fn check_queue(
+    entries: &[Option<QueueEntry>],
+    free: &[usize],
+    ready: &[usize],
+    pending_refill: Option<usize>,
+) -> Result<(), String> {
+    let n = entries.len();
+    let in_range =
+        |s: usize| if s < n { Ok(s) } else { Err(format!("slot {s} out of range 0..{n}")) };
+    let mut is_free = vec![false; n];
+    for &s in free {
+        let s = in_range(s)?;
+        if std::mem::replace(&mut is_free[s], true) {
+            return Err(format!("free list holds slot {s} twice"));
+        }
+        if entries[s].is_some() {
+            return Err(format!("free slot {s} holds an entry"));
+        }
+    }
+    for &s in ready {
+        if entries[in_range(s)?].is_none() {
+            return Err(format!("ready slot {s} is empty"));
+        }
+    }
+    if let Some(s) = pending_refill {
+        if is_free[in_range(s)?] || entries[s].is_some() {
+            return Err(format!("refill slot {s} is not reserved"));
+        }
+    }
+    let live = entries.iter().filter(|e| e.is_some()).count();
+    if live + free.len() + usize::from(pending_refill.is_some()) != n {
+        return Err("a queue slot is neither free, reserved nor live".into());
+    }
+    Ok(())
+}
+
 fn enc_entry(e: &mut Enc, q: &QueueEntry) {
     e.usize(q.args.len());
     for &a in &q.args {
@@ -1193,6 +1265,7 @@ impl Accelerator {
                     overflow: std::collections::VecDeque::new(),
                     pending_refill: None,
                     spawn_refused: false,
+                    parked: 0,
                 });
                 port_base += ports;
             }
@@ -1359,7 +1432,9 @@ impl Accelerator {
             self.spill_free.clear();
             for u in &mut self.units {
                 u.overflow.clear();
-                u.pending_refill = None;
+                if let Some(r) = u.pending_refill.take() {
+                    u.free.push(r.slot);
+                }
                 u.spawn_refused = false;
             }
         }
@@ -1489,7 +1564,7 @@ impl Accelerator {
                 let recover = self.cfg.admission.is_some_and(|a| stalled > a.recovery_window);
                 if recover && self.recover_blocked_spawn(now)? {
                     last_progress = now;
-                } else if stalled > 100_000 {
+                } else if stalled > DEADLOCK_STALL_CYCLES {
                     return Err(SimError::Deadlock {
                         at: now,
                         diagnosis: Box::new(self.diagnose_deadlock(now)),
@@ -1883,7 +1958,10 @@ impl Accelerator {
                 None
             };
             let spawn_refused = d.bool()?;
+            check_queue(&entries, &free, &ready, pending_refill.as_ref().map(|r| r.slot))
+                .map_err(|e| format!("unit {ui}: {e}"))?;
             let u = &mut self.units[ui];
+            u.parked = entries.iter().flatten().filter(|e| e.saved.is_some()).count();
             u.entries = entries;
             u.free = free;
             u.ready = ready;
@@ -2124,7 +2202,7 @@ impl Accelerator {
     fn next_event_cycle(&self, now: u64, last_progress: u64) -> u64 {
         // The stall watchdog: the deadlock check fires (and its diagnosis
         // is taken) at an exact cycle, which skipping must preserve.
-        let mut next = last_progress.saturating_add(100_001);
+        let mut next = last_progress.saturating_add(DEADLOCK_STALL_CYCLES + 1);
         if let Some(a) = self.cfg.admission {
             if self.units.iter().any(|u| !u.overflow.is_empty()) {
                 // Deadlock recovery forces the oldest spill inline the
@@ -2277,8 +2355,7 @@ impl Accelerator {
             if u.occupancy() == 0 {
                 return StallReason::QueueEmpty;
             }
-            let parked = u.entries.iter().flatten().any(|e| e.waiting_sync || e.saved.is_some());
-            return if parked { StallReason::SyncWait } else { StallReason::QueueEmpty };
+            return if u.parked() > 0 { StallReason::SyncWait } else { StallReason::QueueEmpty };
         };
         if now < exec.steal_until {
             return StallReason::StealStall; // paying the cross-unit steal latency
@@ -2435,6 +2512,7 @@ impl Accelerator {
             }
             let exec = match entry.saved.take() {
                 Some(mut saved) => {
+                    u.parked -= 1;
                     if let Some(rb) = saved.resume_block.take() {
                         let idx = u.block_index[&rb];
                         let old = u.dfg.blocks[saved.block_idx].block;
@@ -2733,15 +2811,8 @@ impl Accelerator {
                     // foreign tile); its saved context (including
                     // completed node results) re-dispatches wherever a
                     // healthy tile frees up.
-                    let slot = exec.slot;
-                    let home = exec.home;
-                    // invariant: a running exec always back-references the
-                    // queue entry it was dispatched from, and that entry is
-                    // not freed until the task completes.
-                    let entry =
-                        self.units[home].entries[slot].as_mut().expect("running entry exists");
-                    entry.saved = Some(Box::new(exec));
-                    entry.ready_at = now + 1;
+                    let (slot, home) = (exec.slot, exec.home);
+                    self.units[home].park(exec).ready_at = now + 1;
                     self.units[home].ready.push(slot);
                 }
                 self.progress = true;
@@ -2905,7 +2976,7 @@ impl Accelerator {
             // A full queue blocks every unit that spawns into it.
             if u.free.is_empty() {
                 for (pi, pu) in self.units.iter().enumerate() {
-                    if pi != ui && pu.entries.iter().flatten().any(|e| e.saved.is_some()) {
+                    if pi != ui && pu.parked() > 0 {
                         add(pi, ui, WaitKind::Spawn);
                     }
                 }
@@ -3037,10 +3108,7 @@ impl Accelerator {
                             // Suspend: context returns to the queue entry,
                             // the tile frees for other ready tasks.
                             let slot = exec.slot;
-                            self.units[home].entries[slot]
-                                .as_mut()
-                                .expect("running entry exists")
-                                .saved = Some(Box::new(exec));
+                            self.units[home].park(exec);
                             self.record(now, home, slot, SimEventKind::CallWait);
                             self.mark_worked(unit, tile);
                             return Ok(());
@@ -3058,10 +3126,7 @@ impl Accelerator {
                                         exec.nodes[idx].issued = true;
                                         self.note_issue(home, NodeClass::Spawn);
                                         let slot = exec.slot;
-                                        self.units[home].entries[slot]
-                                            .as_mut()
-                                            .expect("running entry exists")
-                                            .saved = Some(Box::new(exec));
+                                        self.units[home].park(exec);
                                         self.record(now, home, slot, SimEventKind::CallWait);
                                         self.mark_worked(unit, tile);
                                         return Ok(());
@@ -3210,7 +3275,7 @@ impl Accelerator {
                     // SYNC state: context parks in the queue entry.
                     entry.waiting_sync = true;
                     exec.resume_block = Some(cont);
-                    entry.saved = Some(Box::new(exec));
+                    self.units[home].park(exec);
                     self.record(now, home, slot, SimEventKind::SyncWait);
                     self.mark_worked(unit, tile);
                 }
@@ -4624,18 +4689,98 @@ mod admission_tests {
 
     #[test]
     fn tiny_queue_spills_refills_and_matches() {
+        // Profiled on both cores, the queue figures also pin the derived
+        // occupancy: a slot `pump_refills` has reserved holds no entry
+        // until the arena read lands and must not count as live. The
+        // figures are the ones the full-queue scan produced.
         let n = 32u64;
-        let cfg = AcceleratorConfig {
-            ntasks: 2,
-            mem_bytes: 4096,
-            admission: Some(AdmissionControl::virtualized()),
-            ..AcceleratorConfig::default()
+        for event_driven in [true, false] {
+            let cfg = AcceleratorConfig {
+                ntasks: 2,
+                mem_bytes: 4096,
+                admission: Some(AdmissionControl::virtualized()),
+                profile: ProfileLevel::Full,
+                event_driven,
+                ..AcceleratorConfig::default()
+            };
+            let (out, mem) = run_pfor(&cfg, n);
+            assert_eq!(mem, golden_pfor(n), "queue virtualization must preserve results");
+            assert!(out.stats.spills > 0, "Ntasks=2 must overflow into the arena");
+            assert_eq!(out.stats.spills, out.stats.refills, "every spill drains back");
+            assert_eq!(out.stats.inline_spawns, 0, "virtualized admission never inlines");
+            assert_eq!((out.cycles, out.stats.spills), (793, 30));
+            let peaks: Vec<usize> = out.stats.units.iter().map(|u| u.queue_peak).collect();
+            assert_eq!(peaks, [1, 2]);
+            let profile = out.profile.expect("profiling was on");
+            let (root, task) = (&profile.units[0].queue, &profile.units[1].queue);
+            assert_eq!(
+                (root.mean_occupancy, root.peak, root.full_cycles),
+                (0.9987389659520807, 1, 0)
+            );
+            assert_eq!(
+                (task.mean_occupancy, task.peak, task.full_cycles),
+                (1.600252206809584, 2, 553)
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_corrupt_queue_free_list() {
+        type Tamper = fn(&mut TaskUnit);
+        let cfg = AcceleratorConfig { ntasks: 4, mem_bytes: 4096, ..AcceleratorConfig::default() };
+        let mut m = Module::new("m");
+        let f = build_pfor(&mut m);
+        // Halt mid-run, break one queue invariant of the root unit (one
+        // live entry, three free slots), capture, and resume elsewhere.
+        let corrupt = |tamper: Tamper| {
+            let halt = AcceleratorConfig { halt_at_cycle: Some(40), ..cfg.clone() };
+            let mut acc = Accelerator::elaborate(&m, &halt).unwrap();
+            acc.mem_mut().write_bytes(0, &pfor_mem(32));
+            assert!(matches!(
+                acc.run(f, &[Val::Int(0), Val::Int(32)]),
+                Err(SimError::Halted { .. })
+            ));
+            let root = &mut acc.units[0];
+            assert_eq!((root.occupancy(), root.free.len()), (1, 3));
+            tamper(root);
+            let snap = acc.capture_snapshot(RunCtl {
+                start_cycle: 0,
+                last_progress: acc.cycle,
+                next_snapshot: u64::MAX,
+                halt_at: None,
+                instrumented: false,
+                event_driven: true,
+            });
+            let mut fresh = Accelerator::elaborate(&m, &cfg).unwrap();
+            match fresh.resume(&snap) {
+                Err(SimError::Snapshot(msg)) => msg,
+                other => panic!("expected a snapshot error, got {other:?}"),
+            }
         };
-        let (out, mem) = run_pfor(&cfg, n);
-        assert_eq!(mem, golden_pfor(n), "queue virtualization must preserve results");
-        assert!(out.stats.spills > 0, "Ntasks=2 must overflow into the arena");
-        assert_eq!(out.stats.spills, out.stats.refills, "every spill drains back");
-        assert_eq!(out.stats.inline_spawns, 0, "virtualized admission never inlines");
+        let cases: [(&str, Tamper); 6] = [
+            ("out of range", |u| u.free[0] = 4),
+            ("twice", |u| u.free.push(u.free[0])),
+            ("holds an entry", |u| u.free[0] = u.entries.iter().position(Option::is_some).unwrap()),
+            ("ready slot", |u| u.ready.push(u.free[0])),
+            ("neither free", |u| {
+                u.free.pop();
+            }),
+            ("refill slot", |u| {
+                let entry = SpilledEntry {
+                    args: Vec::new(),
+                    parent: None,
+                    call_ret: None,
+                    via_detach: false,
+                    spawned_at: 0,
+                    addr: 0,
+                };
+                u.pending_refill = Some(PendingRefill { slot: u.free[0], entry });
+            }),
+        ];
+        for (want, tamper) in cases {
+            let msg = corrupt(tamper);
+            assert!(msg.contains("unit 0") && msg.contains(want), "{want}: {msg}");
+        }
     }
 
     #[test]

@@ -125,6 +125,24 @@ fuzzsim_gate() {
       >/dev/null
 }
 
+perfbench_gate() {
+  # The benchmark's own tests, then one untimed pass of every workload.
+  # Every job must reproduce the sim_cycles and design_alms recorded in
+  # perfbench/expected.txt, so engine performance work stays
+  # cycle-identical.
+  local bench=(--release --manifest-path perfbench/Cargo.toml)
+  timeout 600 cargo test -q "${bench[@]}"
+  local w last
+  for w in busy_kernels spawn_chain hls_compile dse_sweep; do
+    last=$(timeout 300 cargo run -q "${bench[@]}" -- \
+        --workload "${w}" --seed 0 --seconds 0 --trace 0 | tail -n 1)
+    if [[ "${last}" != *'"correct":true,'* || "${last}" != *'"failed":0,'* ]]; then
+      echo "    perfbench ${w}: ${last:0:120}"
+      return 1
+    fi
+  done
+}
+
 differential_sweep() {
   # Seeded random configs (steal x banks x tiles x ntasks x admission)
   # against the interpreter golden model; seed ${DIFF_SEED} is fixed in
@@ -145,6 +163,7 @@ gate "reproduce bench (event-engine perf gate)" bench_gate
 gate "sweep executor (fault-isolation + resume gate)" executor_gate
 gate "chaos (kill-and-resume crash-consistency gate)" chaos_gate
 gate "fuzzsim (generated-traffic differential gate)" fuzzsim_gate
+gate "perfbench (benchmark correctness gate)" perfbench_gate
 gate "differential sweep (seed ${DIFF_SEED})" differential_sweep
 gate "parser fuzz corpus (crash-hardening gate)" timeout 300 cargo test -q -p tapas-ir --test parse_fuzz
 
