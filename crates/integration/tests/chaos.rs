@@ -236,3 +236,32 @@ fn chaos_cells_shard_the_sweep() {
     let cell = ChaosCell { workload: "saxpy".to_string(), seed: 7, trials: 2 };
     assert_eq!(run_chaos_cell(&cell), Ok(2));
 }
+
+/// FNV-1a 64 over a whole snapshot file image.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn snapshot_bytes_are_pinned() {
+    // Format lock: the halt snapshot of a loop kernel (tiles mid-block,
+    // live dataflow contexts) and of fib (sync-parked contexts carrying
+    // their environments) must encode to exactly these bytes. A change to
+    // how execution contexts are held in the engine may not move them.
+    let cases = [
+        (tapas_workloads::saxpy::build(128), 200u64, 1_075_126usize, 0xaac1_09ce_04cf_ca76u64),
+        (tapas_workloads::fib::build(10), 300, 1_091_652, 0x40f9_ffa8_8521_1b44),
+    ];
+    for (wl, halt, want_len, want_fnv) in cases {
+        let design = Toolchain::new().compile(&wl.module).unwrap();
+        let mut cfg = base_cfg(&wl);
+        cfg.halt_at_cycle = Some(halt);
+        let mut victim = design.instantiate(&cfg).unwrap();
+        victim.mem_mut().write_bytes(0, &wl.mem);
+        assert!(matches!(victim.run(wl.func, &wl.args), Err(SimError::Halted { .. })));
+        let bytes = victim.take_halt_snapshot().unwrap().to_bytes();
+        assert_eq!((bytes.len(), fnv64(&bytes)), (want_len, want_fnv), "{}", wl.name);
+    }
+}

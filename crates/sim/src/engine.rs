@@ -13,9 +13,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use tapas_dfg::{lower_tasks, DfgNode, NodeOp, Operand, TaskDfg, TermInfo};
 use tapas_ir::interp::{eval_bin, eval_cmp, eval_fbin, eval_fcmp, sign_extend, Val};
-use tapas_ir::{
-    mask_to_width, BlockId, CastKind, Constant, FuncId, Function, Module, Type, ValueId,
-};
+use tapas_ir::{mask_to_width, BlockId, CastKind, Constant, FuncId, Function, Module, Type};
 use tapas_mem::{
     AccessOutcome, CacheState, CacheStats, DataBox, DataBoxConfig, DataBoxState, DramState,
     GrantClass, MemError, MemOpKind, MemReq, MemResp, MemSystem, MemSystemState, ReqId,
@@ -362,7 +360,9 @@ struct Exec {
     /// cycle (0 for ordinary dispatches); profiled as `steal-stall`.
     steal_until: u64,
     nodes: Vec<NodeState>,
-    env: HashMap<ValueId, Val>,
+    /// Dense register file: the bound SSA values of the home function,
+    /// indexed by `ValueId` ([`TaskUnit::env_len`] slots).
+    env: Vec<Option<Val>>,
     /// When resuming from a sync, enter this block instead of continuing.
     resume_block: Option<BlockId>,
 }
@@ -455,12 +455,19 @@ struct PendingRefill {
     entry: SpilledEntry,
 }
 
+/// [`TaskUnit::block_index`] entry of a block outside the task.
+const NO_BLOCK: usize = usize::MAX;
+
 #[derive(Debug)]
 struct TaskUnit {
     name: String,
     func: FuncId,
     dfg: Rc<TaskDfg>,
-    block_index: HashMap<BlockId, usize>,
+    /// `BlockId` -> index into `dfg.blocks`; [`NO_BLOCK`] for the
+    /// function's blocks that belong to other tasks.
+    block_index: Vec<usize>,
+    /// Register-file size of the unit's function (`Function::num_values`).
+    env_len: usize,
     entries: Vec<Option<QueueEntry>>,
     free: Vec<usize>,
     ready: Vec<usize>, // LIFO: depth-first scheduling bounds queue growth
@@ -481,6 +488,39 @@ struct TaskUnit {
 }
 
 impl TaskUnit {
+    /// Index of `block` in the unit's DFG, if the block is the task's.
+    fn block_idx(&self, block: BlockId) -> Option<usize> {
+        self.block_index.get(block.0 as usize).copied().filter(|&i| i != NO_BLOCK)
+    }
+
+    /// A fresh register file binding the task's arguments.
+    fn arg_env(&self, args: &[Val]) -> Vec<Option<Val>> {
+        let mut env = vec![None; self.env_len];
+        for (r, &v) in self.dfg.args.iter().zip(args) {
+            env[r.0 as usize] = Some(v);
+        }
+        env
+    }
+
+    /// A first-dispatch context for the entry in `slot` of unit `home`
+    /// (this unit), entering the DFG's entry block at `start`.
+    fn start_exec(&self, slot: usize, home: usize, start: u64, steal_until: u64) -> Exec {
+        // invariant: only occupied slots are dispatched or stolen.
+        let entry = self.entries[slot].as_ref().expect("dispatched entry exists");
+        let block_idx = self.block_idx(self.dfg.entry).expect("entry block inside the task");
+        Exec {
+            slot,
+            home,
+            block_idx,
+            prev_block: None,
+            block_start: start,
+            steal_until,
+            nodes: vec![NodeState::fresh(); self.dfg.blocks[block_idx].nodes.len()],
+            env: self.arg_env(&entry.args),
+            resume_block: None,
+        }
+    }
+
     /// Live queue entries. Every slot is exactly one of free, reserved by
     /// an in-flight refill, or live, so the count falls out of the free
     /// list without walking the queue.
@@ -874,12 +914,13 @@ fn enc_exec(e: &mut Enc, x: &Exec) {
             enc_val(e, v);
         }
     }
-    let mut keys: Vec<ValueId> = x.env.keys().copied().collect();
-    keys.sort_unstable();
-    e.usize(keys.len());
-    for k in keys {
-        e.u32(k.0);
-        enc_val(e, x.env[&k]);
+    // Bound slots in ascending `ValueId` order.
+    e.usize(x.env.iter().flatten().count());
+    for (k, v) in x.env.iter().enumerate() {
+        if let Some(v) = *v {
+            e.u32(k as u32);
+            enc_val(e, v);
+        }
     }
     e.bool(x.resume_block.is_some());
     if let Some(b) = x.resume_block {
@@ -887,14 +928,37 @@ fn enc_exec(e: &mut Enc, x: &Exec) {
     }
 }
 
-fn dec_exec(d: &mut Dec) -> Result<Exec, String> {
+/// Decode an execution context and check it against the design: its home
+/// unit, queue slot and blocks exist, its node states match its block and
+/// its register file binds only the home function's values, in ascending
+/// order. A corrupt context is an error, never a panic or an allocation
+/// sized by a decoded key.
+fn dec_exec(d: &mut Dec, units: &[TaskUnit]) -> Result<Exec, String> {
     let slot = d.usize()?;
     let home = d.usize()?;
     let block_idx = d.usize()?;
-    let prev_block = if d.bool()? { Some(BlockId(d.u32()?)) } else { None };
+    let u = units.get(home).ok_or_else(|| format!("context home {home} is not a task unit"))?;
+    if slot >= u.entries.len() {
+        return Err(format!("context slot {slot} out of range 0..{}", u.entries.len()));
+    }
+    let blk = u.dfg.blocks.get(block_idx).ok_or_else(|| {
+        format!("context block index {block_idx} is not a block of task {}", u.name)
+    })?;
+    let in_task = |b: BlockId| match u.block_idx(b) {
+        Some(_) => Ok(b),
+        None => Err(format!("context names block {b} outside task {}", u.name)),
+    };
+    let prev_block = if d.bool()? { Some(in_task(BlockId(d.u32()?))?) } else { None };
     let block_start = d.u64()?;
     let steal_until = d.u64()?;
     let nn = d.len()?;
+    if nn != blk.nodes.len() {
+        return Err(format!(
+            "context holds {nn} node states, block {} has {}",
+            blk.block,
+            blk.nodes.len()
+        ));
+    }
     let mut nodes = Vec::with_capacity(nn);
     for _ in 0..nn {
         let issued = d.bool()?;
@@ -903,12 +967,23 @@ fn dec_exec(d: &mut Dec) -> Result<Exec, String> {
         nodes.push(NodeState { issued, done_at, value });
     }
     let ne = d.len()?;
-    let mut env = HashMap::with_capacity(ne);
+    let mut env = vec![None; u.env_len];
+    let mut min_key = 0;
     for _ in 0..ne {
-        let k = ValueId(d.u32()?);
-        env.insert(k, dec_val(d)?);
+        let k = d.u32()? as usize;
+        if k >= u.env_len {
+            return Err(format!(
+                "context env key {k} is not a value of {} (< {})",
+                u.name, u.env_len
+            ));
+        }
+        if k < min_key {
+            return Err(format!("context env key {k} is not strictly ascending"));
+        }
+        env[k] = Some(dec_val(d)?);
+        min_key = k + 1;
     }
-    let resume_block = if d.bool()? { Some(BlockId(d.u32()?)) } else { None };
+    let resume_block = if d.bool()? { Some(in_task(BlockId(d.u32()?))?) } else { None };
     Ok(Exec {
         slot,
         home,
@@ -1011,7 +1086,7 @@ fn enc_entry(e: &mut Enc, q: &QueueEntry) {
     e.bool(q.poisoned);
 }
 
-fn dec_entry(d: &mut Dec) -> Result<QueueEntry, String> {
+fn dec_entry(d: &mut Dec, units: &[TaskUnit]) -> Result<QueueEntry, String> {
     let na = d.len()?;
     let mut args = Vec::with_capacity(na);
     for _ in 0..na {
@@ -1021,7 +1096,7 @@ fn dec_entry(d: &mut Dec) -> Result<QueueEntry, String> {
     let call_ret = dec_call_ret(d)?;
     let children = d.u32()?;
     let waiting_sync = d.bool()?;
-    let saved = if d.bool()? { Some(Box::new(dec_exec(d)?)) } else { None };
+    let saved = if d.bool()? { Some(Box::new(dec_exec(d, units)?)) } else { None };
     Ok(QueueEntry {
         args,
         parent,
@@ -1170,7 +1245,7 @@ struct RunCtl {
 pub struct Accelerator {
     module: Rc<Module>,
     units: Vec<TaskUnit>,
-    unit_of: HashMap<(u32, u32), usize>, // (func, task) -> unit
+    unit_of: Vec<Vec<usize>>, // [func][task] -> unit
     func_root: Vec<usize>,
     databox: DataBox,
     ms: MemSystem,
@@ -1213,6 +1288,9 @@ pub struct Accelerator {
     /// Snapshot captured when the `halt_at_cycle` test hook fired,
     /// retrievable once via [`Accelerator::take_halt_snapshot`].
     halt_snapshot: Option<EngineSnapshot>,
+    /// Argument vector handed back by the last refused spawn, reused by
+    /// the next one ([`Accelerator::spawn_args`]).
+    arg_buf: Vec<Val>,
 }
 
 impl std::fmt::Debug for Accelerator {
@@ -1235,21 +1313,24 @@ impl Accelerator {
     pub fn elaborate(module: &Module, cfg: &AcceleratorConfig) -> Result<Self, SimError> {
         let graphs = extract_module(module).map_err(|e| SimError::Elaborate(e.to_string()))?;
         let mut units = Vec::new();
-        let mut unit_of = HashMap::new();
+        let mut unit_of = Vec::with_capacity(graphs.len());
         let mut func_root = Vec::new();
         let mut port_base = 0usize;
         for graph in &graphs {
             let dfgs = lower_tasks(module, graph, &cfg.latencies)
                 .map_err(|e| SimError::Elaborate(e.to_string()))?;
             func_root.push(units.len());
+            let mut task_unit = vec![usize::MAX; graph.tasks.len()];
+            let func = module.function(graph.func);
             for dfg in dfgs {
                 let tid = dfg.task;
                 let name = graph.task(tid).name.clone();
                 let tiles = cfg.tiles_for(&name);
-                let uid = units.len();
-                unit_of.insert((graph.func.0, tid.0), uid);
-                let block_index =
-                    dfg.blocks.iter().enumerate().map(|(i, b)| (b.block, i)).collect();
+                task_unit[tid.0 as usize] = units.len();
+                let mut block_index = vec![NO_BLOCK; func.num_blocks()];
+                for (i, b) in dfg.blocks.iter().enumerate() {
+                    block_index[b.block.0 as usize] = i;
+                }
                 let ports = tiles * dfg.mem_ports;
                 units.push(TaskUnit {
                     stats: UnitStats { name: name.clone(), tiles, ..UnitStats::default() },
@@ -1257,6 +1338,7 @@ impl Accelerator {
                     func: graph.func,
                     dfg: Rc::new(dfg),
                     block_index,
+                    env_len: func.num_values(),
                     entries: (0..cfg.ntasks).map(|_| None).collect(),
                     free: (0..cfg.ntasks).rev().collect(),
                     ready: Vec::new(),
@@ -1269,6 +1351,7 @@ impl Accelerator {
                 });
                 port_base += ports;
             }
+            unit_of.push(task_unit);
         }
         let databox =
             DataBox::new(DataBoxConfig { ports: port_base.max(1), ..cfg.databox.clone() });
@@ -1329,6 +1412,7 @@ impl Accelerator {
             spill_next: spill_base,
             spill_free: Vec::new(),
             halt_snapshot: None,
+            arg_buf: Vec::new(),
         })
     }
 
@@ -1917,7 +2001,7 @@ impl Accelerator {
             }
             let mut entries = Vec::with_capacity(ne);
             for _ in 0..ne {
-                entries.push(if d.bool()? { Some(dec_entry(&mut d)?) } else { None });
+                entries.push(if d.bool()? { Some(dec_entry(&mut d, &self.units)?) } else { None });
             }
             let nfree = d.len()?;
             let free = (0..nfree).map(|_| d.usize()).collect::<Result<Vec<_>, _>>()?;
@@ -1932,7 +2016,7 @@ impl Accelerator {
             }
             let mut tiles = Vec::with_capacity(nt);
             for _ in 0..nt {
-                let exec = if d.bool()? { Some(dec_exec(&mut d)?) } else { None };
+                let exec = if d.bool()? { Some(dec_exec(&mut d, &self.units)?) } else { None };
                 tiles.push(Tile {
                     exec,
                     inline_busy_until: d.u64()?,
@@ -2514,32 +2598,17 @@ impl Accelerator {
                 Some(mut saved) => {
                     u.parked -= 1;
                     if let Some(rb) = saved.resume_block.take() {
-                        let idx = u.block_index[&rb];
+                        let idx = u.block_idx(rb).expect("sync continuation inside the task");
                         let old = u.dfg.blocks[saved.block_idx].block;
                         saved.prev_block = Some(old);
                         saved.block_idx = idx;
-                        saved.nodes = vec![NodeState::fresh(); u.dfg.blocks[idx].nodes.len()];
+                        saved.nodes.clear();
+                        saved.nodes.resize(u.dfg.blocks[idx].nodes.len(), NodeState::fresh());
                         saved.block_start = now;
                     }
                     *saved
                 }
-                None => {
-                    let dfg = Rc::clone(&u.dfg);
-                    let env: HashMap<ValueId, Val> =
-                        dfg.args.iter().copied().zip(entry.args.iter().copied()).collect();
-                    let entry_idx = u.block_index[&dfg.entry];
-                    Exec {
-                        slot,
-                        home: unit,
-                        block_idx: entry_idx,
-                        prev_block: None,
-                        block_start: now,
-                        steal_until: 0,
-                        nodes: vec![NodeState::fresh(); dfg.blocks[entry_idx].nodes.len()],
-                        env,
-                        resume_block: None,
-                    }
-                }
+                None => u.start_exec(slot, unit, now, 0),
             };
             let slot = exec.slot;
             u.tiles[tile_idx].exec = Some(exec);
@@ -2611,21 +2680,7 @@ impl Accelerator {
                             self.min_spawn_latency = self.min_spawn_latency.min(lat);
                         }
                     }
-                    let dfg = Rc::clone(&u.dfg);
-                    let env: HashMap<ValueId, Val> =
-                        dfg.args.iter().copied().zip(entry.args.iter().copied()).collect();
-                    let entry_idx = u.block_index[&dfg.entry];
-                    let exec = Exec {
-                        slot,
-                        home: victim,
-                        block_idx: entry_idx,
-                        prev_block: None,
-                        block_start: now + latency,
-                        steal_until: now + latency,
-                        nodes: vec![NodeState::fresh(); dfg.blocks[entry_idx].nodes.len()],
-                        env,
-                        resume_block: None,
-                    };
+                    let exec = u.start_exec(slot, victim, now + latency, now + latency);
                     self.units[thief].tiles[tile_idx].exec = Some(exec);
                     self.steal_ports[thief].record_steal(victim);
                     self.progress = true;
@@ -2750,7 +2805,7 @@ impl Accelerator {
         ns.done_at = now;
         ns.value = value;
         if let (Some(r), Some(v)) = (node.result, ns.value) {
-            exec.env.insert(r, v);
+            exec.env[r.0 as usize] = Some(v);
         }
     }
 
@@ -3094,8 +3149,7 @@ impl Accelerator {
                     if in_flight {
                         continue;
                     }
-                    let args: Vec<Val> =
-                        node.operands.iter().map(|o| self.operand_val(o, &exec)).collect();
+                    let args = self.spawn_args(&node.operands, &exec);
                     let callee_unit = self.func_root[callee.0 as usize];
                     // The return lands on the *home* entry: a stolen
                     // caller suspends back into its own unit's queue.
@@ -3147,7 +3201,7 @@ impl Accelerator {
                                 ns.done_at = now + cost;
                                 ns.value = Some(ret.unwrap_or(Val::Int(0)));
                                 if let (Some(r), Some(v)) = (node.result, ns.value) {
-                                    exec.env.insert(r, v);
+                                    exec.env[r.0 as usize] = Some(v);
                                 }
                                 self.note_issue(home, NodeClass::Spawn);
                                 self.units[unit].tiles[tile].inline_busy_until = now + cost;
@@ -3156,6 +3210,7 @@ impl Accelerator {
                                 // Callee queue full: retry next cycle.
                                 self.units[home].stats.spawn_stalls += 1;
                                 self.units[callee_unit].spawn_refused = true;
+                                self.arg_buf = args;
                             }
                         }
                     }
@@ -3169,7 +3224,7 @@ impl Accelerator {
                     ns.done_at = now + u64::from(lat);
                     ns.value = value;
                     if let (Some(r), Some(v)) = (node.result, ns.value) {
-                        exec.env.insert(r, v);
+                        exec.env[r.0 as usize] = Some(v);
                     }
                     self.note_issue(home, class);
                 }
@@ -3182,21 +3237,21 @@ impl Accelerator {
             self.units[unit].tiles[tile].exec = Some(exec);
             return Ok(());
         }
-        match blk.term.clone() {
+        match &blk.term {
             TermInfo::Br(t) => {
-                self.enter_block(&mut exec, home, t, now + self.cfg.block_transition);
+                self.enter_block(&mut exec, home, *t, now + self.cfg.block_transition);
                 self.units[unit].tiles[tile].exec = Some(exec);
                 self.progress = true;
             }
             TermInfo::CondBr { cond, if_true, if_false } => {
-                let c = self.operand_val(&cond, &exec).as_int() & 1;
-                let t = if c == 1 { if_true } else { if_false };
+                let c = self.operand_val(cond, &exec).as_int() & 1;
+                let t = if c == 1 { *if_true } else { *if_false };
                 self.enter_block(&mut exec, home, t, now + self.cfg.block_transition);
                 self.units[unit].tiles[tile].exec = Some(exec);
                 self.progress = true;
             }
             TermInfo::Ret(v) => {
-                let value = v.map(|o| self.operand_val(&o, &exec));
+                let value = v.as_ref().map(|o| self.operand_val(o, &exec));
                 self.finish_instance(home, exec.slot, value, now);
                 self.mark_worked(unit, tile);
             }
@@ -3205,8 +3260,9 @@ impl Accelerator {
                 self.mark_worked(unit, tile);
             }
             TermInfo::Detach { child, args, cont } => {
-                let child_unit = self.unit_of[&(self.units[home].func.0, child.0)];
-                let arg_vals: Vec<Val> = args.iter().map(|o| self.operand_val(o, &exec)).collect();
+                let cont = *cont;
+                let child_unit = self.unit_of[self.units[home].func.0 as usize][child.0 as usize];
+                let arg_vals = self.spawn_args(args, &exec);
                 let parent = Some((home, exec.slot));
                 match self.alloc_entry(child_unit, arg_vals, parent, None, now, false, true) {
                     Ok(_) => {
@@ -3259,11 +3315,13 @@ impl Accelerator {
                             self.units[child_unit].stats.spawn_stalls += 1;
                             self.units[child_unit].spawn_refused = true;
                             self.units[unit].tiles[tile].exec = Some(exec);
+                            self.arg_buf = arg_vals;
                         }
                     }
                 }
             }
             TermInfo::Sync(cont) => {
+                let cont = *cont;
                 let slot = exec.slot;
                 // invariant: exec.slot back-references the live queue entry
                 // this instance was dispatched from.
@@ -3289,13 +3347,13 @@ impl Accelerator {
         let old = u.dfg.blocks[exec.block_idx].block;
         // invariant: lowering only emits branch targets inside the task's
         // own DFG; block ids never cross a task boundary.
-        let idx = *u
-            .block_index
-            .get(&block)
+        let idx = u
+            .block_idx(block)
             .unwrap_or_else(|| panic!("branch to block {block} outside task {}", u.name));
         exec.prev_block = Some(old);
         exec.block_idx = idx;
-        exec.nodes = vec![NodeState::fresh(); u.dfg.blocks[idx].nodes.len()];
+        exec.nodes.clear();
+        exec.nodes.resize(u.dfg.blocks[idx].nodes.len(), NodeState::fresh());
         exec.block_start = at;
     }
 
@@ -3338,7 +3396,7 @@ impl Accelerator {
             // Propagate the return value into the caller's environment.
             let node_result = dfg.blocks[saved.block_idx].nodes[cr.node].result;
             if let (Some(r), Some(v)) = (node_result, saved.nodes[cr.node].value) {
-                saved.env.insert(r, v);
+                saved.env[r.0 as usize] = Some(v);
             }
             caller.ready_at = now + 1;
             self.units[cr.unit].ready.push(cr.slot);
@@ -3380,6 +3438,16 @@ impl Accelerator {
         data_ok && node.order_deps.iter().all(|&d| exec.nodes[d].done(now))
     }
 
+    /// Evaluate a spawn's arguments into the vector a refused spawn handed
+    /// back, so a spawn stalled on a full queue retries every cycle
+    /// without allocating.
+    fn spawn_args(&mut self, operands: &[Operand], exec: &Exec) -> Vec<Val> {
+        let mut args = std::mem::take(&mut self.arg_buf);
+        args.clear();
+        args.extend(operands.iter().map(|o| self.operand_val(o, exec)));
+        args
+    }
+
     fn operand_val(&self, o: &Operand, exec: &Exec) -> Val {
         match o {
             // invariant: dataflow firing order — a node only issues once
@@ -3388,9 +3456,8 @@ impl Accelerator {
             Operand::Local(i) => {
                 exec.nodes[*i].value.unwrap_or_else(|| panic!("reading unfinished node {i}"))
             }
-            Operand::Env(v) => {
-                *exec.env.get(v).unwrap_or_else(|| panic!("value {v} missing from TXU environment"))
-            }
+            Operand::Env(v) => exec.env[v.0 as usize]
+                .unwrap_or_else(|| panic!("value {v} missing from TXU environment")),
             Operand::Imm(c) => const_val(c),
         }
     }
@@ -3728,11 +3795,11 @@ impl Accelerator {
         let dfg = Rc::clone(&self.units[unit].dfg);
         let func = self.units[unit].func;
         let hit = u64::from(self.ms.cache.config().hit_latency);
-        let mut env: HashMap<ValueId, Val> =
-            dfg.args.iter().copied().zip(args.iter().copied()).collect();
+        let mut env = self.units[unit].arg_env(&args);
         let mut cost = 0u64;
         let mut prev_block: Option<BlockId> = None;
-        let mut block_idx = self.units[unit].block_index[&dfg.entry];
+        let mut block_idx =
+            self.units[unit].block_idx(dfg.entry).expect("entry block inside the task");
         loop {
             let blk = &dfg.blocks[block_idx];
             let n = blk.nodes.len();
@@ -3799,7 +3866,7 @@ impl Accelerator {
                         }
                     };
                     if let (Some(r), Some(v)) = (node.result, value) {
-                        env.insert(r, v);
+                        env[r.0 as usize] = Some(v);
                     }
                     vals[idx] = value;
                     done[idx] = true;
@@ -3813,38 +3880,37 @@ impl Accelerator {
                 }
             }
             let cur = blk.block;
-            let term = blk.term.clone();
-            let next = match term {
-                TermInfo::Br(t) => t,
+            let next = match &blk.term {
+                TermInfo::Br(t) => *t,
                 TermInfo::CondBr { cond, if_true, if_false } => {
-                    if resolve_inline(&cond, &vals, &env).as_int() & 1 == 1 {
-                        if_true
+                    if resolve_inline(cond, &vals, &env).as_int() & 1 == 1 {
+                        *if_true
                     } else {
-                        if_false
+                        *if_false
                     }
                 }
                 TermInfo::Ret(v) => {
-                    return Ok((v.map(|o| resolve_inline(&o, &vals, &env)), cost));
+                    return Ok((v.as_ref().map(|o| resolve_inline(o, &vals, &env)), cost));
                 }
                 TermInfo::Reattach => return Ok((None, cost)),
                 TermInfo::Detach { child, args: dargs, cont } => {
                     let cargs: Vec<Val> =
                         dargs.iter().map(|o| resolve_inline(o, &vals, &env)).collect();
-                    let child_unit = self.unit_of[&(func.0, child.0)];
+                    let child_unit = self.unit_of[func.0 as usize][child.0 as usize];
                     let (_, c) = self.exec_inline(child_unit, cargs, depth + 1)?;
                     cost += c + self.cfg.spawn_cost;
-                    cont
+                    *cont
                 }
                 TermInfo::Sync(cont) => {
                     // Children already ran synchronously above; the sync
                     // itself still pays its modeled cost.
                     cost += self.cfg.sync_cost;
-                    cont
+                    *cont
                 }
             };
             cost += self.cfg.block_transition;
             prev_block = Some(cur);
-            block_idx = self.units[unit].block_index[&next];
+            block_idx = self.units[unit].block_idx(next).expect("branch target inside the task");
         }
     }
 }
@@ -3891,10 +3957,10 @@ fn find_cycle(n: usize, edges: &[WaitEdge]) -> Vec<WaitEdge> {
 
 /// Resolve an operand during inline (functional) execution: a completed
 /// local node's value, an environment binding, or an immediate.
-fn resolve_inline(o: &Operand, vals: &[Option<Val>], env: &HashMap<ValueId, Val>) -> Val {
+fn resolve_inline(o: &Operand, vals: &[Option<Val>], env: &[Option<Val>]) -> Val {
     match o {
         Operand::Local(i) => vals[*i].expect("local operand of a completed node"),
-        Operand::Env(v) => *env.get(v).expect("env value bound before inline use"),
+        Operand::Env(v) => env[v.0 as usize].expect("env value bound before inline use"),
         Operand::Imm(c) => const_val(c),
     }
 }
@@ -3917,11 +3983,10 @@ fn val_bits(v: Val) -> u64 {
 }
 
 fn load_value(f: &Function, node: &DfgNode, rdata: u64) -> Val {
-    let ty = node.result.map(|r| f.value_ty(r).clone()).unwrap_or(Type::I64);
-    match ty {
-        Type::F32 => Val::F32(f32::from_bits(rdata as u32)),
-        Type::F64 => Val::F64(f64::from_bits(rdata)),
-        Type::Int(w) => Val::Int(mask_to_width(rdata, w)),
+    match node.result.map(|r| f.value_ty(r)) {
+        Some(Type::F32) => Val::F32(f32::from_bits(rdata as u32)),
+        Some(Type::F64) => Val::F64(f64::from_bits(rdata)),
+        Some(&Type::Int(w)) => Val::Int(mask_to_width(rdata, w)),
         _ => Val::Int(rdata),
     }
 }
@@ -4781,6 +4846,81 @@ mod admission_tests {
             let msg = corrupt(tamper);
             assert!(msg.contains("unit 0") && msg.contains(want), "{want}: {msg}");
         }
+    }
+
+    #[test]
+    fn restore_rejects_a_corrupt_execution_context() {
+        let cfg = AcceleratorConfig { ntasks: 4, mem_bytes: 4096, ..AcceleratorConfig::default() };
+        let mut m = Module::new("m");
+        let f = build_pfor(&mut m);
+        let halt = AcceleratorConfig { halt_at_cycle: Some(40), ..cfg.clone() };
+        let mut acc = Accelerator::elaborate(&m, &halt).unwrap();
+        acc.mem_mut().write_bytes(0, &pfor_mem(32));
+        assert!(matches!(acc.run(f, &[Val::Int(0), Val::Int(32)]), Err(SimError::Halted { .. })));
+        let snap = acc.capture_snapshot(RunCtl {
+            start_cycle: 0,
+            last_progress: acc.cycle,
+            next_snapshot: u64::MAX,
+            halt_at: None,
+            instrumented: false,
+            event_driven: true,
+        });
+        let exec = acc.units.iter().flat_map(|u| &u.tiles).find_map(|t| t.exec.as_ref()).unwrap();
+        let bound: Vec<u32> = (0..).zip(&exec.env).filter_map(|(k, v)| v.map(|_| k)).collect();
+        let home = &acc.units[exec.home];
+        let foreign = BlockId(home.block_index.iter().position(|&i| i == NO_BLOCK).unwrap() as u32);
+        assert!(bound.len() >= 2 && exec.resume_block.is_none());
+        let encode = |x: &Exec| {
+            let mut e = Enc::default();
+            enc_exec(&mut e, x);
+            e.buf
+        };
+        // The context re-encoded with its register file replaced by raw
+        // keys, which the dense form cannot express: the empty env's count
+        // and the absent resume block are the encoding's last 9 bytes.
+        let with_keys = |keys: &[u32]| {
+            let mut out = encode(&Exec { env: Vec::new(), ..exec.clone() });
+            out.truncate(out.len() - 9);
+            let mut e = Enc { buf: out };
+            e.usize(keys.len());
+            for &k in keys {
+                e.u32(k);
+                enc_val(&mut e, Val::Int(7));
+            }
+            e.bool(false);
+            e.buf
+        };
+        let original = encode(exec);
+        let at = snap.payload.windows(original.len()).position(|w| w == original).unwrap();
+        let cases: [(&str, Vec<u8>); 9] = [
+            ("home 9 is not a task unit", encode(&Exec { home: 9, ..exec.clone() })),
+            ("slot 4 out of range 0..4", encode(&Exec { slot: 4, ..exec.clone() })),
+            ("block index 99 is not a block", encode(&Exec { block_idx: 99, ..exec.clone() })),
+            ("node states", {
+                let mut x = exec.clone();
+                x.nodes.push(NodeState::fresh());
+                encode(&x)
+            }),
+            ("is not a value", with_keys(&[bound[0], u32::MAX - 1])),
+            ("not strictly ascending", with_keys(&[bound[1], bound[0]])),
+            ("not strictly ascending", with_keys(&[bound[0], bound[0]])),
+            ("outside task", encode(&Exec { prev_block: Some(foreign), ..exec.clone() })),
+            ("outside task", encode(&Exec { resume_block: Some(foreign), ..exec.clone() })),
+        ];
+        for (want, bytes) in cases {
+            let mut payload = snap.payload.clone();
+            payload.splice(at..at + original.len(), bytes);
+            let bad = EngineSnapshot { payload, ..snap.clone() };
+            let mut fresh = Accelerator::elaborate(&m, &cfg).unwrap();
+            match fresh.resume(&bad) {
+                Err(SimError::Snapshot(msg)) => assert!(msg.contains(want), "{want}: {msg}"),
+                other => panic!("{want}: expected a snapshot error, got {other:?}"),
+            }
+        }
+        // The untouched capture still resumes.
+        let mut fresh = Accelerator::elaborate(&m, &cfg).unwrap();
+        fresh.mem_mut().write_bytes(0, &pfor_mem(32));
+        fresh.resume(&snap).unwrap();
     }
 
     #[test]
