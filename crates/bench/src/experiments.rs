@@ -580,17 +580,7 @@ pub fn elision_ablation() -> Vec<ElisionAblationRow> {
             wl.output_of(&golden),
             "elision must preserve results"
         );
-        let est =
-            res::estimate(
-                &tapas_res::DesignInfo::from_module(&module, 64, 16 * 1024, |_| {
-                    if elide {
-                        1
-                    } else {
-                        4
-                    }
-                }),
-                Board::CycloneV,
-            );
+        let est = res::estimate(&design.design_info(&cfg), Board::CycloneV);
         rows.push(ElisionAblationRow {
             variant: if elide { "elided" } else { "dynamic" }.to_string(),
             cycles: out.cycles,

@@ -106,9 +106,11 @@ pub fn estimate(wl: &BuiltWorkload, tiles: usize, board: Board) -> tapas_res::Es
     tapas_res::estimate(&info, board)
 }
 
-/// The `DesignInfo` for `wl`.
+/// The `DesignInfo` for `wl`: its compiled design at the experiments'
+/// configuration (`tiles` on every unit, [`ntasks_for`] queue depth).
 pub fn design_info(wl: &BuiltWorkload, tiles: usize) -> DesignInfo {
-    DesignInfo::from_module(&wl.module, ntasks_for(wl), 16 * 1024, move |_| tiles)
+    let design = Toolchain::new().compile(&wl.module).expect("compiles");
+    design.design_info(&accel_config(wl, tiles, ntasks_for(wl)))
 }
 
 /// Wall-clock seconds for a simulated run at the board's achievable clock.

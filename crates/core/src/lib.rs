@@ -12,9 +12,10 @@
 //!    argument set; the result is the accelerator's task-level blueprint.
 //! 2. **Stage 2** (also in [`Toolchain::compile`]) — per-task TXU dataflow
 //!    generation with latency-insensitive nodes, data-box ports and
-//!    spawn/sync terminators.
-//! 3. **Stage 3** — parameter binding: [`CompiledDesign::instantiate`]
-//!    builds the cycle-level simulator (`Ntasks`, `Ntiles`, cache/DRAM),
+//!    spawn/sync terminators, timed by the toolchain's latency model.
+//! 3. **Stage 3** — parameter binding over the [`CompiledDesign`], which
+//!    never re-runs Stages 1–2: [`CompiledDesign::instantiate`] builds the
+//!    cycle-level simulator (`Ntasks`, `Ntiles`, cache/DRAM),
 //!    [`CompiledDesign::emit_chisel`] emits the parameterized Chisel-style
 //!    RTL, and [`CompiledDesign::design_info`] feeds the resource, fmax and
 //!    power models.
@@ -78,30 +79,15 @@ pub use tapas_sim::{
     SnapshotError, StallReason, StealConfig, WaitCause,
 };
 
-use tapas_dfg::{lower_tasks, LatencyModel, TaskDfg};
+use tapas_dfg::{lower_module, LatencyModel, TaskDfg};
 use tapas_ir::Module;
 use tapas_res::DesignInfo;
-use tapas_task::{extract_module, TaskGraph};
+use tapas_task::TaskGraph;
 
-/// Toolchain errors (stage 1/2 failures).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ToolchainError {
-    /// IR verification or task extraction failed.
-    Task(String),
-    /// Dataflow lowering failed.
-    Dfg(String),
-}
-
-impl std::fmt::Display for ToolchainError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ToolchainError::Task(s) => write!(f, "task extraction: {s}"),
-            ToolchainError::Dfg(s) => write!(f, "dataflow generation: {s}"),
-        }
-    }
-}
-
-impl std::error::Error for ToolchainError {}
+/// Toolchain errors (stage 1/2 failures): [`ToolchainError::Task`] when
+/// IR verification or task extraction fails, another variant when
+/// dataflow lowering does.
+pub use tapas_dfg::DfgError as ToolchainError;
 
 /// Any failure the `tapas` façade can produce, so callers can `?` through
 /// the whole compile → configure → simulate pipeline with one error type.
@@ -178,26 +164,21 @@ impl Toolchain {
         Toolchain { latencies: LatencyModel::default() }
     }
 
-    /// A toolchain with custom functional-unit latencies.
+    /// A toolchain with custom functional-unit latencies: the design's one
+    /// latency model, baked into every dataflow node the simulator runs.
     pub fn with_latencies(latencies: LatencyModel) -> Self {
         Toolchain { latencies }
     }
 
-    /// Run stages 1 and 2 on `module`.
+    /// Run stages 1 and 2 on `module` — the only place they run; every
+    /// Stage-3 backend binds parameters to the result.
     ///
     /// # Errors
     ///
     /// Returns [`ToolchainError`] when the module is not a well-formed
     /// Tapir program or a task uses constructs without a hardware mapping.
     pub fn compile(&self, module: &Module) -> Result<CompiledDesign, ToolchainError> {
-        let graphs = extract_module(module).map_err(|e| ToolchainError::Task(e.to_string()))?;
-        let mut dfgs = Vec::with_capacity(graphs.len());
-        for g in &graphs {
-            dfgs.push(
-                lower_tasks(module, g, &self.latencies)
-                    .map_err(|e| ToolchainError::Dfg(e.to_string()))?,
-            );
-        }
+        let (graphs, dfgs) = lower_module(module, &self.latencies)?;
         Ok(CompiledDesign { module: module.clone(), graphs, dfgs })
     }
 }
@@ -220,13 +201,21 @@ impl CompiledDesign {
         self.graphs.iter().map(|g| g.num_tasks()).sum()
     }
 
-    /// Stage 3 (simulation backend): build the cycle-level accelerator.
+    /// Every task unit in elaboration order: its function's task graph
+    /// and its TXU dataflow.
+    pub(crate) fn units(&self) -> impl Iterator<Item = (&TaskGraph, &TaskDfg)> {
+        self.graphs.iter().zip(&self.dfgs).flat_map(|(g, dfgs)| dfgs.iter().map(move |d| (g, d)))
+    }
+
+    /// Stage 3 (simulation backend): build the cycle-level accelerator
+    /// from this design's graphs and dataflows, binding only `cfg`.
     ///
     /// # Errors
     ///
-    /// Propagates elaboration failures from the simulator.
+    /// None today; the `Result` leaves room for a configuration the
+    /// design cannot host.
     pub fn instantiate(&self, cfg: &AcceleratorConfig) -> Result<Accelerator, SimError> {
-        Accelerator::elaborate(&self.module, cfg)
+        Ok(Accelerator::elaborate(&self.module, &self.graphs, &self.dfgs, cfg))
     }
 
     /// Stage 3 (simulation backend), crash-consistent flavour: build the
@@ -336,29 +325,31 @@ impl CompiledDesign {
 
     /// Stage 3 (resource backend): design description for `tapas-res`.
     pub fn design_info(&self, cfg: &AcceleratorConfig) -> DesignInfo {
-        DesignInfo::from_module(&self.module, cfg.ntasks, cfg.cache.size_bytes, |name| {
-            cfg.tiles_for(name)
-        })
+        DesignInfo::new(
+            &self.module,
+            &self.graphs,
+            &self.dfgs,
+            cfg.ntasks,
+            cfg.cache.size_bytes,
+            |name| cfg.tiles_for(name),
+        )
     }
 
     /// Per-task static profile report (the Table II columns).
     pub fn task_report(&self) -> Vec<TaskReportRow> {
-        let mut rows = Vec::new();
-        for (g, dfgs) in self.graphs.iter().zip(&self.dfgs) {
-            let f = self.module.function(g.func);
-            for (t, dfg) in g.task_ids().zip(dfgs) {
-                let prof = g.task_profile(f, t);
-                rows.push(TaskReportRow {
-                    task: g.task(t).name.clone(),
+        self.units()
+            .map(|(g, dfg)| {
+                let prof = g.task_profile(self.module.function(g.func), dfg.task);
+                TaskReportRow {
+                    task: g.task(dfg.task).name.clone(),
                     insts: prof.insts,
                     mem_ops: prof.mem_ops,
                     args: prof.args,
                     has_loop: dfg.has_loop,
-                    children: g.task(t).children.len(),
-                });
-            }
-        }
-        rows
+                    children: g.task(dfg.task).children.len(),
+                }
+            })
+            .collect()
     }
 }
 
@@ -427,6 +418,29 @@ mod tests {
         m.add_function(b.finish());
         let err = Toolchain::new().compile(&m).unwrap_err();
         assert!(matches!(err, ToolchainError::Task(_)));
+    }
+
+    /// Slower integer, address and floating-point units than the default
+    /// library.
+    fn slow_latencies() -> LatencyModel {
+        LatencyModel { int_simple: 2, gep: 3, fp_add: 9, fp_mul: 7, ..LatencyModel::default() }
+    }
+
+    #[test]
+    fn the_toolchain_latency_model_reaches_the_simulator() {
+        let wl = tapas_workloads::saxpy::build(128);
+        let golden = wl.golden_memory();
+        let cycles = |toolchain: Toolchain| {
+            let design = toolchain.compile(&wl.module).unwrap();
+            let mut acc = design.instantiate(&AcceleratorConfig::default()).unwrap();
+            acc.mem_mut().write_bytes(0, &wl.mem);
+            let out = acc.run(wl.func, &wl.args).unwrap();
+            assert_eq!(acc.mem().read_bytes(wl.output.0, wl.output.1), wl.output_of(&golden));
+            out.cycles
+        };
+        let default = cycles(Toolchain::new());
+        let slow = cycles(Toolchain::with_latencies(slow_latencies()));
+        assert!(slow > default, "slower units must cost cycles: {slow} vs {default}");
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! * loads/stores are assigned data-box ports; `call`s become
 //!   spawn-and-wait nodes (the recursion mechanism of §IV-C).
 //!
-//! The cycle-level execution of these graphs lives in `tapas-sim`; the
-//! resource/frequency estimation over them lives in `tapas-res`.
+//! [`lower_module`] drives Stages 1–2 for a whole module, once per
+//! `Toolchain::compile`. The cycle-level execution of these graphs lives
+//! in `tapas-sim`; the resource/frequency estimation over them lives in
+//! `tapas-res`.
 
 #![warn(missing_docs)]
 
@@ -25,7 +27,7 @@ use tapas_ir::{
     BinOp, BlockId, CastKind, CmpPred, Constant, FBinOp, FCmpPred, FuncId, Function, GepIndex,
     Module, Op, Terminator, Type, ValueId,
 };
-use tapas_task::{TaskGraph, TaskId};
+use tapas_task::{extract_module, TaskError, TaskGraph, TaskId};
 
 /// Fixed operation latencies in cycles, matching the hardware component
 /// library the paper describes (multi-cycle FP, single-cycle integer).
@@ -302,6 +304,8 @@ impl DfgProfile {
 /// Errors during DFG lowering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DfgError {
+    /// Stage 1 failed: [`lower_module`] could not extract the tasks.
+    Task(TaskError),
     /// A load/store of a type wider than the 8-byte data path.
     UnsupportedAccess(String),
 }
@@ -309,12 +313,28 @@ pub enum DfgError {
 impl std::fmt::Display for DfgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            DfgError::Task(e) => write!(f, "task extraction: {e}"),
             DfgError::UnsupportedAccess(s) => write!(f, "unsupported memory access: {s}"),
         }
     }
 }
 
 impl std::error::Error for DfgError {}
+
+/// Stages 1 and 2 for a whole module: every function's task graph, and
+/// its tasks' TXU dataflows indexed like the graphs.
+///
+/// # Errors
+///
+/// [`DfgError::Task`] when extraction fails, else the first lowering error.
+pub fn lower_module(
+    m: &Module,
+    lat: &LatencyModel,
+) -> Result<(Vec<TaskGraph>, Vec<Vec<TaskDfg>>), DfgError> {
+    let graphs = extract_module(m).map_err(DfgError::Task)?;
+    let dfgs = graphs.iter().map(|g| lower_tasks(m, g, lat)).collect::<Result<_, _>>()?;
+    Ok((graphs, dfgs))
+}
 
 /// Lower every task of `graph` to its TXU dataflow.
 ///

@@ -7,6 +7,7 @@
 
 use std::path::PathBuf;
 
+use tapas::dfg::LatencyModel;
 use tapas::{
     AcceleratorConfig, AdmissionControl, FaultPlan, ProfileLevel, SimError, StealConfig, Toolchain,
 };
@@ -214,6 +215,29 @@ fn a_snapshot_from_a_different_design_is_rejected() {
 }
 
 #[test]
+fn a_snapshot_from_a_design_with_other_latencies_is_rejected() {
+    // Same program and configuration; only the toolchain's latency model
+    // differs, so only the dataflow nodes' latencies tell the designs apart.
+    let wl = tapas_workloads::saxpy::build(128);
+    let slow = LatencyModel { int_simple: 2, gep: 3, fp_add: 9, fp_mul: 7, ..Default::default() };
+    let design_slow = Toolchain::with_latencies(slow).compile(&wl.module).unwrap();
+    let design = Toolchain::new().compile(&wl.module).unwrap();
+
+    let mut cfg = base_cfg(&wl);
+    cfg.halt_at_cycle = Some(40);
+    let mut victim = design_slow.instantiate(&cfg).unwrap();
+    victim.mem_mut().write_bytes(0, &wl.mem);
+    assert!(matches!(victim.run(wl.func, &wl.args), Err(SimError::Halted { .. })));
+    let snap = victim.take_halt_snapshot().unwrap();
+
+    let mut other = design.instantiate(&base_cfg(&wl)).unwrap();
+    match other.resume(&snap) {
+        Err(SimError::Snapshot(msg)) => assert!(msg.contains("fingerprint"), "{msg}"),
+        other => panic!("expected a snapshot rejection, got {other:?}"),
+    }
+}
+
+#[test]
 fn chaos_cells_honor_an_on_disk_snapshot_assignment() {
     // The executor path: `--snapshot-every N` hands the cell a stable
     // snapshot path; every trial's killed run writes the ladder there and
@@ -250,11 +274,26 @@ fn snapshot_bytes_are_pinned() {
     // live dataflow contexts) and of fib (sync-parked contexts carrying
     // their environments) must encode to exactly these bytes. A change to
     // how execution contexts are held in the engine may not move them.
+    // The payload (the file between its 36-byte header and 8-byte
+    // checksum) is pinned on its own: a change to what the header's
+    // design fingerprint covers moves the whole-file hash, never this.
     let cases = [
-        (tapas_workloads::saxpy::build(128), 200u64, 1_075_126usize, 0xaac1_09ce_04cf_ca76u64),
-        (tapas_workloads::fib::build(10), 300, 1_091_652, 0x40f9_ffa8_8521_1b44),
+        (
+            tapas_workloads::saxpy::build(128),
+            200u64,
+            1_075_126usize,
+            0xcf67_f97c_4c32_03d9u64,
+            0xc58e_6aa9_c6c6_b5f3u64,
+        ),
+        (
+            tapas_workloads::fib::build(10),
+            300,
+            1_091_652,
+            0x8f9c_a0fd_7e0e_adc6,
+            0x3296_f3a9_aa51_e31f,
+        ),
     ];
-    for (wl, halt, want_len, want_fnv) in cases {
+    for (wl, halt, want_len, want_fnv, want_payload_fnv) in cases {
         let design = Toolchain::new().compile(&wl.module).unwrap();
         let mut cfg = base_cfg(&wl);
         cfg.halt_at_cycle = Some(halt);
@@ -262,6 +301,13 @@ fn snapshot_bytes_are_pinned() {
         victim.mem_mut().write_bytes(0, &wl.mem);
         assert!(matches!(victim.run(wl.func, &wl.args), Err(SimError::Halted { .. })));
         let bytes = victim.take_halt_snapshot().unwrap().to_bytes();
+        let payload = &bytes[36..bytes.len() - 8];
+        assert_eq!(
+            (payload.len(), fnv64(payload)),
+            (want_len - 44, want_payload_fnv),
+            "{} payload",
+            wl.name
+        );
         assert_eq!((bytes.len(), fnv64(&bytes)), (want_len, want_fnv), "{}", wl.name);
     }
 }

@@ -24,9 +24,9 @@
 
 #![warn(missing_docs)]
 
-use tapas_dfg::{lower_tasks, DfgProfile, LatencyModel};
+use tapas_dfg::{DfgProfile, TaskDfg};
 use tapas_ir::Module;
-use tapas_task::extract_module;
+use tapas_task::TaskGraph;
 
 /// FPGA boards evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -162,27 +162,22 @@ pub struct DesignInfo {
 }
 
 impl DesignInfo {
-    /// Build the design description for `module` with uniform tile counts
-    /// decided by `tiles_for` (task name → tiles) and queue depth `ntasks`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if extraction or lowering fails — call after the module has
-    /// been validated.
-    pub fn from_module(
+    /// Describe a lowered design — its task graphs and the TXU dataflows
+    /// indexed like them — with tile counts decided by `tiles_for` (task
+    /// name → tiles) and queue depth `ntasks`.
+    pub fn new(
         module: &Module,
+        graphs: &[TaskGraph],
+        dfgs: &[Vec<TaskDfg>],
         ntasks: usize,
         cache_bytes: u64,
         tiles_for: impl Fn(&str) -> usize,
     ) -> DesignInfo {
-        let graphs = extract_module(module).expect("task extraction");
-        let lat = LatencyModel::default();
         let mut units = Vec::new();
-        for g in &graphs {
-            let dfgs = lower_tasks(module, g, &lat).expect("dfg lowering");
+        for (g, dfgs) in graphs.iter().zip(dfgs) {
+            let f = module.function(g.func);
             for dfg in dfgs {
                 let t = g.task(dfg.task);
-                let f = module.function(g.func);
                 let arg_bytes: usize =
                     t.args.iter().map(|a| f.value_ty(*a).size_bytes() as usize).sum();
                 units.push(UnitInfo {
@@ -314,7 +309,13 @@ pub fn intel_hls_estimate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tapas_dfg::{lower_module, LatencyModel};
     use tapas_workloads::scale_micro;
+
+    fn design_of(m: &Module, ntasks: usize, tiles_for: impl Fn(&str) -> usize) -> DesignInfo {
+        let (graphs, dfgs) = lower_module(m, &LatencyModel::default()).unwrap();
+        DesignInfo::new(m, &graphs, &dfgs, ntasks, 16 * 1024, tiles_for)
+    }
 
     fn within(actual: f64, expected: f64, tol: f64) -> bool {
         (actual - expected).abs() <= tol * expected
@@ -322,13 +323,7 @@ mod tests {
 
     fn micro_design(tiles: usize, adders: u32) -> DesignInfo {
         let wl = scale_micro::build(64, adders);
-        DesignInfo::from_module(&wl.module, 32, 16 * 1024, |name| {
-            if name.contains("task") {
-                tiles
-            } else {
-                1
-            }
-        })
+        design_of(&wl.module, 32, |name| if name.contains("task") { tiles } else { 1 })
     }
 
     #[test]
@@ -420,8 +415,8 @@ mod tests {
     #[test]
     fn recursive_units_double_queue_brams() {
         let wl = tapas_workloads::fib::build(8);
-        let shallow = DesignInfo::from_module(&wl.module, 32, 16 * 1024, |_| 1);
-        let deep = DesignInfo::from_module(&wl.module, 1024, 16 * 1024, |_| 1);
+        let shallow = design_of(&wl.module, 32, |_| 1);
+        let deep = design_of(&wl.module, 1024, |_| 1);
         let es = estimate(&shallow, Board::CycloneV);
         let ed = estimate(&deep, Board::CycloneV);
         assert!(ed.brams > es.brams * 4, "deep queues grow BRAM");
@@ -431,7 +426,7 @@ mod tests {
     #[test]
     fn intel_hls_uses_more_bram_fewer_controllers() {
         let wl = tapas_workloads::saxpy::build(64);
-        let d = DesignInfo::from_module(&wl.module, 32, 16 * 1024, |_| 3);
+        let d = design_of(&wl.module, 32, |_| 3);
         let tapas = estimate(&d, Board::CycloneV);
         let body = d.units.iter().find(|u| u.name.contains("task")).unwrap().profile;
         let ihls = intel_hls_estimate(&body, 3, 3, Board::CycloneV);

@@ -1,3 +1,4 @@
+use tapas_dfg::{lower_module, LatencyModel};
 use tapas_res::*;
 use tapas_workloads::scale_micro;
 
@@ -8,7 +9,8 @@ fn dump() {
         [(1usize, 1u32, 1314u64), (1, 50, 2955), (10, 1, 7107), (10, 50, 24738)]
     {
         let wl = scale_micro::build(64, adders);
-        let d = DesignInfo::from_module(&wl.module, 32, 16 * 1024, |n| {
+        let (graphs, dfgs) = lower_module(&wl.module, &LatencyModel::default()).unwrap();
+        let d = DesignInfo::new(&wl.module, &graphs, &dfgs, 32, 16 * 1024, |n| {
             if n.contains("task") {
                 tiles
             } else {

@@ -25,11 +25,12 @@ use crate::fault::{FaultPlan, FaultTolerance};
 use crate::profile::ProfileLevel;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use tapas_dfg::LatencyModel;
 use tapas_mem::{CacheConfig, DataBoxConfig, DramConfig};
 
 /// Configuration of the elaborated accelerator (the paper's Stage 3
 /// parameters: queue depths, tiles per task, memory system).
+/// Functional-unit latencies are not among them: Stage 2 bakes the
+/// toolchain's latency model into the dataflow nodes the accelerator runs.
 #[derive(Debug, Clone)]
 pub struct AcceleratorConfig {
     /// Task queue entries per task unit (`Ntasks`).
@@ -47,8 +48,6 @@ pub struct AcceleratorConfig {
     pub dram: DramConfig,
     /// Data box issue width and queue depth (ports are sized automatically).
     pub databox: DataBoxConfig,
-    /// Functional-unit latencies.
-    pub latencies: LatencyModel,
     /// Cycles for the spawn handshake (queue allocation + args write).
     pub spawn_cost: u64,
     /// Cycles to resume from a sync join.
@@ -134,7 +133,6 @@ impl Default for AcceleratorConfig {
             l2: None,
             dram: DramConfig::default(),
             databox: DataBoxConfig::default(),
-            latencies: LatencyModel::default(),
             spawn_cost: 10,
             sync_cost: 2,
             block_transition: 2,
@@ -494,12 +492,6 @@ impl AcceleratorConfigBuilder {
     /// Data box issue width and queue depth.
     pub fn databox(mut self, databox: DataBoxConfig) -> Self {
         self.cfg.databox = databox;
-        self
-    }
-
-    /// Functional-unit latency model.
-    pub fn latencies(mut self, latencies: LatencyModel) -> Self {
-        self.cfg.latencies = latencies;
         self
     }
 

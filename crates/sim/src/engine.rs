@@ -11,22 +11,20 @@ use crate::snapshot::{Dec, Enc, EngineSnapshot, SnapshotError};
 use crate::AcceleratorConfig;
 use std::collections::HashMap;
 use std::rc::Rc;
-use tapas_dfg::{lower_tasks, DfgNode, NodeOp, Operand, TaskDfg, TermInfo};
+use tapas_dfg::{DfgNode, NodeOp, Operand, TaskDfg, TermInfo};
 use tapas_ir::interp::{eval_bin, eval_cmp, eval_fbin, eval_fcmp, sign_extend, Val};
 use tapas_ir::{mask_to_width, BlockId, CastKind, Constant, FuncId, Function, Module, Type};
 use tapas_mem::{
     AccessOutcome, CacheState, CacheStats, DataBox, DataBoxConfig, DataBoxState, DramState,
     GrantClass, MemError, MemOpKind, MemReq, MemResp, MemSystem, MemSystemState, ReqId,
 };
-use tapas_task::extract_module;
 use tapas_task::queue::{QueueOccupancy, QueueOccupancyState};
 use tapas_task::steal::{StealPort, StealPortState};
+use tapas_task::TaskGraph;
 
 /// Simulation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// Task extraction or DFG lowering failed.
-    Elaborate(String),
     /// The cycle budget was exhausted.
     CycleLimit(u64),
     /// Integer division by zero in a TXU.
@@ -115,7 +113,6 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimError::Elaborate(s) => write!(f, "elaboration failed: {s}"),
             SimError::CycleLimit(n) => write!(f, "cycle limit of {n} exceeded"),
             SimError::DivByZero => write!(f, "division by zero"),
             SimError::QueueFull => write!(f, "root task queue full"),
@@ -1065,6 +1062,37 @@ fn check_queue(
     Ok(())
 }
 
+/// The links [`Accelerator::deliver_completion`] follows, over queued,
+/// spilled and refilling entries: a `parent` names a live entry still
+/// counting children, a `call_ret` a live caller parked in its own unit
+/// on a block that holds the return node.
+fn check_links(units: &[TaskUnit]) -> Result<(), String> {
+    let live = |u: usize, s: usize| units.get(u)?.entries.get(s)?.as_ref();
+    for (ui, u) in units.iter().enumerate() {
+        let queued = u.entries.iter().flatten().map(|e| (e.parent, e.call_ret));
+        let spilled = u.overflow.iter().chain(u.pending_refill.as_ref().map(|r| &r.entry));
+        for (parent, call_ret) in queued.chain(spilled.map(|e| (e.parent, e.call_ret))) {
+            if let Some((pu, ps)) = parent {
+                if live(pu, ps).is_none_or(|p| p.children == 0) {
+                    return Err(format!(
+                        "unit {ui}: parent ({pu}, {ps}) is not a live entry with children"
+                    ));
+                }
+            }
+            if let Some(cr) = call_ret {
+                let saved = live(cr.unit, cr.slot).and_then(|c| c.saved.as_ref());
+                if saved.is_none_or(|x| x.home != cr.unit || cr.node >= x.nodes.len()) {
+                    return Err(format!(
+                        "unit {ui}: call return ({}, {}) node {} is not in a parked caller's block",
+                        cr.unit, cr.slot, cr.node
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 fn enc_entry(e: &mut Enc, q: &QueueEntry) {
     e.usize(q.args.len());
     for &a in &q.args {
@@ -1303,22 +1331,21 @@ impl std::fmt::Debug for Accelerator {
 }
 
 impl Accelerator {
-    /// Elaborate an accelerator for every function of `module`: extract
-    /// tasks (Stage 1), lower TXU dataflows (Stage 2) and instantiate task
-    /// units with the Stage 3 parameters in `cfg`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Elaborate`] if extraction or lowering fails.
-    pub fn elaborate(module: &Module, cfg: &AcceleratorConfig) -> Result<Self, SimError> {
-        let graphs = extract_module(module).map_err(|e| SimError::Elaborate(e.to_string()))?;
+    /// Instantiate an accelerator for every function of `module` from its
+    /// Stage 1–2 output (`tapas_dfg::lower_module`'s graphs and dataflows):
+    /// bind the Stage 3 parameters in `cfg` by building queues, tiles, the
+    /// data box and memory.
+    pub fn elaborate(
+        module: &Module,
+        graphs: &[TaskGraph],
+        dfgs: &[Vec<TaskDfg>],
+        cfg: &AcceleratorConfig,
+    ) -> Self {
         let mut units = Vec::new();
         let mut unit_of = Vec::with_capacity(graphs.len());
         let mut func_root = Vec::new();
         let mut port_base = 0usize;
-        for graph in &graphs {
-            let dfgs = lower_tasks(module, graph, &cfg.latencies)
-                .map_err(|e| SimError::Elaborate(e.to_string()))?;
+        for (graph, dfgs) in graphs.iter().zip(dfgs) {
             func_root.push(units.len());
             let mut task_unit = vec![usize::MAX; graph.tasks.len()];
             let func = module.function(graph.func);
@@ -1336,7 +1363,7 @@ impl Accelerator {
                     stats: UnitStats { name: name.clone(), tiles, ..UnitStats::default() },
                     name,
                     func: graph.func,
-                    dfg: Rc::new(dfg),
+                    dfg: Rc::new(dfg.clone()),
                     block_index,
                     env_len: func.num_values(),
                     entries: (0..cfg.ntasks).map(|_| None).collect(),
@@ -1376,7 +1403,7 @@ impl Accelerator {
             _ => (0, 0),
         };
         let steal_ports = (0..units.len()).map(|_| StealPort::new()).collect();
-        Ok(Accelerator {
+        Accelerator {
             module: Rc::new(module.clone()),
             units,
             unit_of,
@@ -1413,7 +1440,7 @@ impl Accelerator {
             spill_free: Vec::new(),
             halt_snapshot: None,
             arg_buf: Vec::new(),
-        })
+        }
     }
 
     /// Drain the recorded task-level event trace (empty unless
@@ -1759,17 +1786,20 @@ impl Accelerator {
     }
 
     /// Hash of everything the snapshot payload's meaning depends on: the
-    /// elaborated geometry plus the configuration, excluding the
-    /// `snapshot`/`halt_at_cycle` knobs themselves so the kill-run and
-    /// its resume-run fingerprint identically.
+    /// elaborated geometry, every dataflow node's latency (the toolchain's
+    /// latency model as compiled into the design) and the configuration,
+    /// excluding the `snapshot`/`halt_at_cycle` knobs themselves so the
+    /// kill-run and its resume-run fingerprint identically.
     fn fingerprint(&self) -> u64 {
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = write!(s, "v{};", crate::snapshot::SNAPSHOT_VERSION);
         for u in &self.units {
+            let lat: Vec<u32> =
+                u.dfg.blocks.iter().flat_map(|b| &b.nodes).map(|n| n.latency).collect();
             let _ = write!(
                 s,
-                "unit {} func={} entries={} tiles={} blocks={} ports@{};",
+                "unit {} func={} entries={} tiles={} blocks={} ports@{} lat={lat:?};",
                 u.name,
                 u.func.0,
                 u.entries.len(),
@@ -2058,6 +2088,7 @@ impl Accelerator {
             u.pending_refill = pending_refill;
             u.spawn_refused = spawn_refused;
         }
+        check_links(&self.units)?;
         for p in &mut self.steal_ports {
             let st = StealPortState { cursor: d.usize()?, steals: d.u64()?, failures: d.u64()? };
             p.restore_state(&st);
@@ -4024,6 +4055,14 @@ mod tests {
     use crate::AcceleratorConfig;
     use tapas_ir::{CmpPred, FunctionBuilder, Module, Type};
 
+    /// Stages 1–2 with the default latency library, then elaboration; the
+    /// one way every test module of the engine builds an accelerator.
+    pub(super) fn elaborate(m: &Module, cfg: &AcceleratorConfig) -> Accelerator {
+        let (graphs, dfgs) = tapas_dfg::lower_module(m, &tapas_dfg::LatencyModel::default())
+            .expect("test modules lower");
+        Accelerator::elaborate(m, &graphs, &dfgs, cfg)
+    }
+
     fn run_both(
         m: &Module,
         f: FuncId,
@@ -4032,7 +4071,7 @@ mod tests {
         cfg: &AcceleratorConfig,
     ) -> (SimOutcome, Vec<u8>, Option<Val>, Vec<u8>) {
         // Accelerator
-        let mut acc = Accelerator::elaborate(m, cfg).unwrap();
+        let mut acc = elaborate(m, cfg);
         acc.mem_mut().write_bytes(0, mem_init);
         let out = acc.run(f, args).unwrap();
         let acc_mem = acc.mem().read_bytes(0, mem_init.len()).to_vec();
@@ -4234,7 +4273,7 @@ mod tests {
         b.ret(Some(y));
         let mut m = Module::new("m");
         let f = m.add_function(b.finish());
-        let mut acc = Accelerator::elaborate(&m, &AcceleratorConfig::default()).unwrap();
+        let mut acc = elaborate(&m, &AcceleratorConfig::default());
         let out = acc.run(f, &[Val::Int(4)]).unwrap();
         assert_eq!(out.ret, Some(Val::Int(5)));
         assert_eq!(out.stats.spawns, 0);
@@ -4254,7 +4293,7 @@ mod tests {
         }
         let run_with = |tiles: usize| {
             let cfg = AcceleratorConfig::default().with_tiles("pfor_inc::task1", tiles);
-            let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+            let mut acc = elaborate(&m, &cfg);
             acc.mem_mut().write_bytes(0, &mem);
             let out = acc.run(f, &[Val::Int(0), Val::Int(n)]).unwrap();
             (out.cycles, acc.mem().read_bytes(0, mem.len()).to_vec())
@@ -4375,7 +4414,7 @@ mod tests {
         let mut m = Module::new("m");
         let f = m.add_function(b.finish());
         let cfg = AcceleratorConfig { max_cycles: 5000, ..AcceleratorConfig::default() };
-        let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+        let mut acc = elaborate(&m, &cfg);
         let err = acc.run(f, &[]).unwrap_err();
         assert!(matches!(err, SimError::CycleLimit(_)));
     }
@@ -4389,7 +4428,7 @@ mod tests {
         b.ret(Some(q));
         let mut m = Module::new("m");
         let f = m.add_function(b.finish());
-        let mut acc = Accelerator::elaborate(&m, &AcceleratorConfig::default()).unwrap();
+        let mut acc = elaborate(&m, &AcceleratorConfig::default());
         let err = acc.run(f, &[Val::Int(3)]).unwrap_err();
         assert_eq!(err, SimError::DivByZero);
     }
@@ -4399,7 +4438,7 @@ mod tests {
         let mut m = Module::new("m");
         let f = build_pfor_inc(&mut m);
         let _ = f;
-        let acc = Accelerator::elaborate(&m, &AcceleratorConfig::default()).unwrap();
+        let acc = elaborate(&m, &AcceleratorConfig::default());
         assert_eq!(acc.num_units(), 2);
         let names = acc.unit_names();
         assert!(names[0].contains("root"));
@@ -4410,7 +4449,7 @@ mod tests {
     fn stats_accumulate_busy_cycles() {
         let mut m = Module::new("m");
         let f = build_pfor_inc(&mut m);
-        let mut acc = Accelerator::elaborate(&m, &AcceleratorConfig::default()).unwrap();
+        let mut acc = elaborate(&m, &AcceleratorConfig::default());
         let n = 8u64;
         let out = acc.run(f, &[Val::Int(0), Val::Int(n)]).unwrap();
         let root = &out.stats.units[0];
@@ -4425,6 +4464,7 @@ mod tests {
 
 #[cfg(test)]
 mod event_tests {
+    use super::tests::elaborate;
     use super::*;
     use crate::AcceleratorConfig;
     use tapas_ir::{CmpPred, FunctionBuilder, Module, Type};
@@ -4471,7 +4511,7 @@ mod event_tests {
             mem_bytes: 4096,
             ..AcceleratorConfig::default()
         };
-        let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+        let mut acc = elaborate(&m, &cfg);
         let out = acc.run(f, &[Val::Int(0), Val::Int(6)]).unwrap();
         let events = acc.take_events();
         assert!(!events.is_empty());
@@ -4515,7 +4555,7 @@ mod event_tests {
         b.ret(None);
         let mut m = Module::new("m");
         let f = m.add_function(b.finish());
-        let mut acc = Accelerator::elaborate(&m, &AcceleratorConfig::default()).unwrap();
+        let mut acc = elaborate(&m, &AcceleratorConfig::default());
         acc.run(f, &[]).unwrap();
         assert!(acc.take_events().is_empty());
     }
@@ -4523,6 +4563,7 @@ mod event_tests {
 
 #[cfg(test)]
 mod profile_tests {
+    use super::tests::elaborate;
     use super::*;
     use crate::{AcceleratorConfig, ProfileLevel, StallReason};
     use tapas_ir::{CmpPred, FunctionBuilder, Module, Type};
@@ -4570,7 +4611,7 @@ mod profile_tests {
         let f = build_pfor(&mut m);
         let cfg =
             AcceleratorConfig::builder().tiles(2).profile(ProfileLevel::Full).build().unwrap();
-        let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+        let mut acc = elaborate(&m, &cfg);
         let out = acc.run(f, &[Val::Int(0), Val::Int(16)]).unwrap();
         let profile = out.profile.expect("profiling was on");
         profile.check_invariant().unwrap();
@@ -4592,7 +4633,7 @@ mod profile_tests {
         let f = build_pfor(&mut m);
         let run_with = |level: ProfileLevel| {
             let cfg = AcceleratorConfig::builder().tiles(2).profile(level).build().unwrap();
-            let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+            let mut acc = elaborate(&m, &cfg);
             acc.run(f, &[Val::Int(0), Val::Int(24)]).unwrap()
         };
         let off = run_with(ProfileLevel::Off);
@@ -4613,7 +4654,7 @@ mod profile_tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
         let cfg = AcceleratorConfig::builder().trace_path(&path).build().unwrap();
-        let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+        let mut acc = elaborate(&m, &cfg);
         acc.run(f, &[Val::Int(0), Val::Int(8)]).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.starts_with("{\"traceEvents\":["));
@@ -4624,6 +4665,7 @@ mod profile_tests {
 
 #[cfg(test)]
 mod admission_tests {
+    use super::tests::elaborate;
     use super::*;
     use crate::{AcceleratorConfig, AdmissionControl, ProfileLevel, StallReason};
     use tapas_ir::{CmpPred, FunctionBuilder, Module, Type};
@@ -4715,7 +4757,7 @@ mod admission_tests {
         let mut m = Module::new("m");
         let f = build_pfor(&mut m);
         let mem = pfor_mem(n);
-        let mut acc = Accelerator::elaborate(&m, cfg).unwrap();
+        let mut acc = elaborate(&m, cfg);
         acc.mem_mut().write_bytes(0, &mem);
         let out = acc.run(f, &[Val::Int(0), Val::Int(n)]).unwrap();
         let final_mem = acc.mem().read_bytes(0, mem.len()).to_vec();
@@ -4799,7 +4841,7 @@ mod admission_tests {
         // live entry, three free slots), capture, and resume elsewhere.
         let corrupt = |tamper: Tamper| {
             let halt = AcceleratorConfig { halt_at_cycle: Some(40), ..cfg.clone() };
-            let mut acc = Accelerator::elaborate(&m, &halt).unwrap();
+            let mut acc = elaborate(&m, &halt);
             acc.mem_mut().write_bytes(0, &pfor_mem(32));
             assert!(matches!(
                 acc.run(f, &[Val::Int(0), Val::Int(32)]),
@@ -4816,7 +4858,7 @@ mod admission_tests {
                 instrumented: false,
                 event_driven: true,
             });
-            let mut fresh = Accelerator::elaborate(&m, &cfg).unwrap();
+            let mut fresh = elaborate(&m, &cfg);
             match fresh.resume(&snap) {
                 Err(SimError::Snapshot(msg)) => msg,
                 other => panic!("expected a snapshot error, got {other:?}"),
@@ -4854,7 +4896,7 @@ mod admission_tests {
         let mut m = Module::new("m");
         let f = build_pfor(&mut m);
         let halt = AcceleratorConfig { halt_at_cycle: Some(40), ..cfg.clone() };
-        let mut acc = Accelerator::elaborate(&m, &halt).unwrap();
+        let mut acc = elaborate(&m, &halt);
         acc.mem_mut().write_bytes(0, &pfor_mem(32));
         assert!(matches!(acc.run(f, &[Val::Int(0), Val::Int(32)]), Err(SimError::Halted { .. })));
         let snap = acc.capture_snapshot(RunCtl {
@@ -4911,16 +4953,75 @@ mod admission_tests {
             let mut payload = snap.payload.clone();
             payload.splice(at..at + original.len(), bytes);
             let bad = EngineSnapshot { payload, ..snap.clone() };
-            let mut fresh = Accelerator::elaborate(&m, &cfg).unwrap();
+            let mut fresh = elaborate(&m, &cfg);
             match fresh.resume(&bad) {
                 Err(SimError::Snapshot(msg)) => assert!(msg.contains(want), "{want}: {msg}"),
                 other => panic!("{want}: expected a snapshot error, got {other:?}"),
             }
         }
         // The untouched capture still resumes.
-        let mut fresh = Accelerator::elaborate(&m, &cfg).unwrap();
+        let mut fresh = elaborate(&m, &cfg);
         fresh.mem_mut().write_bytes(0, &pfor_mem(32));
         fresh.resume(&snap).unwrap();
+    }
+
+    #[test]
+    fn restore_rejects_a_broken_entry_link() {
+        type Tamper = fn(&mut Accelerator);
+        let cfg = AcceleratorConfig { ntasks: 4, mem_bytes: 4096, ..AcceleratorConfig::default() };
+        let mut m = Module::new("m");
+        let f = build_pfor(&mut m);
+        // Halt with the root (unit 0, slot 0; slots 1..4 free) owning the
+        // children queued in unit 1, break one link, capture, and resume
+        // elsewhere.
+        let corrupt = |tamper: Tamper| {
+            let halt = AcceleratorConfig { halt_at_cycle: Some(40), ..cfg.clone() };
+            let mut acc = elaborate(&m, &halt);
+            acc.mem_mut().write_bytes(0, &pfor_mem(32));
+            assert!(matches!(
+                acc.run(f, &[Val::Int(0), Val::Int(32)]),
+                Err(SimError::Halted { .. })
+            ));
+            assert_eq!(acc.units[0].free, [3, 2, 1]);
+            assert!(acc.units[1].entries.iter().flatten().all(|e| e.parent == Some((0, 0))));
+            tamper(&mut acc);
+            let snap = acc.capture_snapshot(RunCtl {
+                start_cycle: 0,
+                last_progress: acc.cycle,
+                next_snapshot: u64::MAX,
+                halt_at: None,
+                instrumented: false,
+                event_driven: true,
+            });
+            let mut fresh = elaborate(&m, &cfg);
+            match fresh.resume(&snap) {
+                Err(SimError::Snapshot(msg)) => msg,
+                other => panic!("expected a snapshot error, got {other:?}"),
+            }
+        };
+        fn child(acc: &mut Accelerator) -> &mut QueueEntry {
+            acc.units[1].entries.iter_mut().flatten().next().expect("a queued child")
+        }
+        let cases: [(&str, Tamper); 4] = [
+            ("parent (0, 3) is not a live entry", |acc| child(acc).parent = Some((0, 3))),
+            ("parent (0, 0) is not a live entry with children", |acc| {
+                acc.units[0].entries[0].as_mut().unwrap().children = 0;
+            }),
+            ("call return (0, 0) node 0 is not in a parked", |acc| {
+                acc.units[0].entries[0].as_mut().unwrap().saved = None;
+                child(acc).call_ret = Some(CallRet { unit: 0, slot: 0, node: 0 });
+            }),
+            ("call return (0, 0) node 999 is not in a parked", |acc| {
+                let root = acc.units[0].tiles.iter().find_map(|t| t.exec.clone());
+                let root = root.expect("the root runs on a tile");
+                acc.units[0].entries[0].as_mut().unwrap().saved = Some(Box::new(root));
+                child(acc).call_ret = Some(CallRet { unit: 0, slot: 0, node: 999 });
+            }),
+        ];
+        for (want, tamper) in cases {
+            let msg = corrupt(tamper);
+            assert!(msg.contains("unit 1") && msg.contains(want), "{want}: {msg}");
+        }
     }
 
     #[test]
@@ -4933,7 +5034,7 @@ mod admission_tests {
             ..AcceleratorConfig::default()
         }
         .with_default_tiles(2);
-        let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+        let mut acc = elaborate(&m, &cfg);
         let out = acc.run(f, &[Val::Int(10), Val::Int(4096)]).unwrap();
         assert_eq!(out.ret, Some(Val::Int(55)), "fib(10) under a 2-entry queue");
     }
@@ -4947,7 +5048,7 @@ mod admission_tests {
             let f = build_fib(&mut m);
             let cfg = AcceleratorConfig { ntasks: 2, ..AcceleratorConfig::default() }
                 .with_default_tiles(2);
-            let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+            let mut acc = elaborate(&m, &cfg);
             match acc.run(f, &[Val::Int(10), Val::Int(4096)]) {
                 Err(SimError::Deadlock { at, diagnosis }) => (at, diagnosis.to_string()),
                 other => panic!("expected spawn-cycle deadlock, got {other:?}"),
@@ -4986,7 +5087,7 @@ mod admission_tests {
         };
         let mut m = Module::new("m");
         let f = build_pfor(&mut m);
-        let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+        let mut acc = elaborate(&m, &cfg);
         acc.mem_mut().write_bytes(0, &pfor_mem(n));
         let out = acc.run(f, &[Val::Int(0), Val::Int(n)]).unwrap();
         let profile = out.profile.expect("profiling was on");
@@ -5003,6 +5104,7 @@ mod admission_tests {
 
 #[cfg(test)]
 mod steal_bank_tests {
+    use super::tests::elaborate;
     use super::*;
     use crate::{AcceleratorConfig, ProfileLevel, StallReason, StealConfig};
     use tapas_ir::{CmpPred, FunctionBuilder, Module, Type};
@@ -5048,7 +5150,7 @@ mod steal_bank_tests {
     fn run_fib(cfg: &AcceleratorConfig) -> SimOutcome {
         let mut m = Module::new("m");
         let f = build_fib(&mut m);
-        let mut acc = Accelerator::elaborate(&m, cfg).unwrap();
+        let mut acc = elaborate(&m, cfg);
         acc.run(f, &[Val::Int(10), Val::Int(4096)]).unwrap()
     }
 
@@ -5082,7 +5184,7 @@ mod steal_bank_tests {
         let run_once = || {
             let mut m = Module::new("m");
             let f = build_fib(&mut m);
-            let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+            let mut acc = elaborate(&m, &cfg);
             let out = acc.run(f, &[Val::Int(10), Val::Int(4096)]).unwrap();
             let steals: Vec<(u64, usize, usize)> = acc
                 .take_events()
@@ -5112,7 +5214,7 @@ mod steal_bank_tests {
         };
         let mut m = Module::new("m");
         let f = build_fib(&mut m);
-        let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+        let mut acc = elaborate(&m, &cfg);
         let out = acc.run(f, &[Val::Int(10), Val::Int(4096)]).unwrap();
         assert_eq!(out.ret, Some(Val::Int(55)));
         let events = acc.take_events();
@@ -5157,7 +5259,7 @@ mod steal_bank_tests {
             let f = super::tests::build_pfor_inc(&mut m);
             let cfg = AcceleratorConfig { l1_banks: banks, mem_bytes: 4096, ..Default::default() }
                 .with_default_tiles(4);
-            let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+            let mut acc = elaborate(&m, &cfg);
             acc.mem_mut().write_bytes(0, &mem);
             let out = acc.run(f, &[Val::Int(0), Val::Int(n)]).unwrap();
             (out, acc.mem().read_bytes(0, mem.len()).to_vec())

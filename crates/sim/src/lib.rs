@@ -73,9 +73,11 @@
 //!
 //! # Examples
 //!
-//! Compile and simulate a one-task function:
+//! Lower a one-task function (Stages 1–2, which `tapas::Toolchain::compile`
+//! runs for a whole design) and simulate it:
 //!
 //! ```
+//! use tapas_dfg::{lower_module, LatencyModel};
 //! use tapas_ir::{FunctionBuilder, Module, Type, interp::Val};
 //! use tapas_sim::{Accelerator, AcceleratorConfig};
 //!
@@ -89,8 +91,9 @@
 //! let mut m = Module::new("demo");
 //! let f = m.add_function(b.finish());
 //!
+//! let (graphs, dfgs) = lower_module(&m, &LatencyModel::default()).unwrap();
 //! let cfg = AcceleratorConfig::builder().build().unwrap();
-//! let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+//! let mut acc = Accelerator::elaborate(&m, &graphs, &dfgs, &cfg);
 //! acc.mem_mut().write_bytes(0, &41i32.to_le_bytes());
 //! let out = acc.run(f, &[Val::Int(0)]).unwrap();
 //! assert_eq!(acc.mem().read_bits(0, 4), 42);

@@ -2,6 +2,7 @@
 //! **masked** (results byte-identical to a fault-free run) or **detected**
 //! (the run fails with a typed [`SimError`]) — never silently wrong.
 
+use tapas_dfg::{lower_module, LatencyModel};
 use tapas_ir::interp::Val;
 use tapas_ir::{CmpPred, FuncId, FunctionBuilder, Module, Type};
 use tapas_sim::{
@@ -90,10 +91,16 @@ fn pfor_mem() -> Vec<u8> {
     (0..N as i32).flat_map(|i| i.to_le_bytes()).collect()
 }
 
+/// Stages 1–2 with the default latency library, then elaboration.
+fn elaborate(m: &Module, cfg: &AcceleratorConfig) -> Accelerator {
+    let (graphs, dfgs) = lower_module(m, &LatencyModel::default()).expect("test modules lower");
+    Accelerator::elaborate(m, &graphs, &dfgs, cfg)
+}
+
 fn run_pfor(cfg: &AcceleratorConfig) -> (Result<SimOutcome, SimError>, Vec<u8>) {
     let mut m = Module::new("faults");
     let f = build_pfor_inc(&mut m);
-    let mut acc = Accelerator::elaborate(&m, cfg).expect("valid config");
+    let mut acc = elaborate(&m, cfg);
     let init = pfor_mem();
     acc.mem_mut().write_bytes(0, &init);
     let out = acc.run(f, &[Val::Int(0), Val::Int(N)]);
@@ -187,7 +194,7 @@ fn quarantine_degrades_gracefully_after_a_wedge() {
     // a 4-tile unit mid-run.
     let mut m = Module::new("faults");
     let f = build_pfor_inc(&mut m);
-    let probe = Accelerator::elaborate(&m, &base_cfg()).unwrap();
+    let probe = elaborate(&m, &base_cfg());
     let worker =
         probe.unit_names().iter().position(|n| n.contains("task")).expect("worker unit exists");
     let baseline = {
@@ -199,7 +206,7 @@ fn quarantine_degrades_gracefully_after_a_wedge() {
         .faults(FaultPlan::new().with(Fault::TileWedge { unit: worker, tile: 2, at: baseline / 3 }))
         .build()
         .unwrap();
-    let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+    let mut acc = elaborate(&m, &cfg);
     let init = pfor_mem();
     acc.mem_mut().write_bytes(0, &init);
     let out = acc.run(f, &[Val::Int(0), Val::Int(N)]).expect("run survives losing one tile");
@@ -315,7 +322,7 @@ fn deadlock_diagnosis_reports_the_wait_cycle_and_oldest_task() {
     let mut m = Module::new("faults");
     let f = build_parallel_fib(&mut m);
     let cfg = AcceleratorConfig::builder().ntasks(2).build().unwrap();
-    let mut acc = Accelerator::elaborate(&m, &cfg).unwrap();
+    let mut acc = elaborate(&m, &cfg);
     let err = acc.run(f, &[Val::Int(8), Val::Int(4096)]).unwrap_err();
     match err {
         SimError::Deadlock { diagnosis, .. } => {

@@ -1,6 +1,7 @@
 //! Every workload must produce interpreter-identical results on the
 //! cycle-level accelerator (the central functional claim of the port).
 
+use tapas_dfg::{lower_module, LatencyModel};
 use tapas_sim::{Accelerator, AcceleratorConfig};
 use tapas_workloads::suite_small;
 
@@ -13,8 +14,9 @@ fn all_workloads_match_golden_on_accelerator() {
             ..AcceleratorConfig::default()
         }
         .with_default_tiles(2);
-        let mut acc = Accelerator::elaborate(&wl.module, &cfg)
-            .unwrap_or_else(|e| panic!("{}: elaborate failed: {e}", wl.name));
+        let (graphs, dfgs) = lower_module(&wl.module, &LatencyModel::default())
+            .unwrap_or_else(|e| panic!("{}: lowering failed: {e}", wl.name));
+        let mut acc = Accelerator::elaborate(&wl.module, &graphs, &dfgs, &cfg);
         acc.mem_mut().write_bytes(0, &wl.mem);
         let out =
             acc.run(wl.func, &wl.args).unwrap_or_else(|e| panic!("{}: sim failed: {e}", wl.name));

@@ -49,6 +49,19 @@ analyze_smoke() {
   ./target/release/reproduce check-json /tmp/analyze.json
 }
 
+paper_golden_gate() {
+  # The reproduced paper must not move: the 13 paper sections of a fresh
+  # `reproduce all` dump, key-sorted, must equal the committed
+  # results.json byte for byte. A deliberate model change regenerates
+  # results.json in the same change.
+  local sections='{table2, spawn, fig13, table3, fig14, fig15, fig16, table4,
+      fig17, table5, grain_ablation, mem_ablation, elision_ablation}'
+  timeout 300 ./target/release/reproduce all --json /tmp/paper_all.json >/dev/null
+  jq -S "${sections}" results.json >/tmp/paper_golden.json
+  jq -S "${sections}" /tmp/paper_all.json >/tmp/paper_fresh.json
+  cmp /tmp/paper_golden.json /tmp/paper_fresh.json
+}
+
 bench_gate() {
   # Event-driven engine perf gate: re-runs the bench suite (cycle-identity
   # between the event-driven and stepped cores is asserted inside), checks
@@ -159,6 +172,7 @@ gate "reproduce faults smoke (robustness gate)" faults_smoke
 gate "reproduce stress (bounded-resource gate)" stress_smoke
 gate "reproduce tune smoke (opt-in feature gate)" tune_smoke
 gate "reproduce analyze smoke (static-analysis gate)" analyze_smoke
+gate "reproduce all vs results.json (paper-golden gate)" paper_golden_gate
 gate "reproduce bench (event-engine perf gate)" bench_gate
 gate "sweep executor (fault-isolation + resume gate)" executor_gate
 gate "chaos (kill-and-resume crash-consistency gate)" chaos_gate
