@@ -40,7 +40,6 @@ use paths::{path_bounds, BaseMetric, Mode};
 use std::collections::BTreeMap;
 use tapas_ir::interp::Val;
 use tapas_ir::{FuncId, Module, Op, Terminator};
-use tapas_lint::{lint_module, LintConfig};
 use tapas_task::{extract_module, TaskGraph};
 
 /// Analysis failure (malformed module or task extraction error).
@@ -212,16 +211,14 @@ impl AnalysisReport {
 /// verified module, so only integer bits are consulted.
 pub fn analyze(m: &Module, entry: FuncId, args: &[Val]) -> Result<AnalysisReport, AnalyzeError> {
     let graphs = extract_module(m).map_err(|e| AnalyzeError(e.to_string()))?;
-    let lint = lint_module(m, &LintConfig::default()).map_err(|e| AnalyzeError(e.to_string()))?;
-    analyze_prepared(m, &graphs, &lint, entry, args)
+    analyze_prepared(m, &graphs, entry, args)
 }
 
-/// [`analyze`] for callers that already hold the extracted task graphs and a
-/// lint report (the compilation façade), avoiding repeated extraction.
+/// [`analyze`] for callers that already hold the extracted task graphs (the
+/// compilation façade), avoiding repeated extraction.
 pub fn analyze_prepared(
     m: &Module,
     graphs: &[TaskGraph],
-    lint: &tapas_lint::LintReport,
     entry: FuncId,
     args: &[Val],
 ) -> Result<AnalysisReport, AnalyzeError> {
@@ -236,12 +233,7 @@ pub fn analyze_prepared(
             .find(|g| g.func.0 as usize == fi)
             .expect("extract_module covers every function")
     };
-    let flagged: Vec<String> = lint
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule.code() == "TL0105")
-        .map(|d| d.location.function.clone())
-        .collect();
+    let flagged = tapas_lint::unbounded_spawn_loops(m, graphs);
 
     // Call edges and pairwise reachability over them.
     let callees: Vec<Vec<usize>> = (0..nf)
@@ -333,12 +325,13 @@ pub fn analyze_prepared(
         let self_rec = callees[fi].contains(&fi);
         let in_multi_scc = callees[fi].iter().any(|&g| g != fi && reaches(g, fi) && reaches(fi, g));
         let fargs = known_args[fi].clone().flatten();
+        let spawn_loop = flagged.contains(&FuncId(fi as u32));
         let s = if in_multi_scc {
-            multi_scc_summary(m, fi, tg_of(fi), &sums, fargs.as_deref(), &flagged)
+            multi_scc_summary(m, fi, tg_of(fi), &sums, fargs.as_deref(), spawn_loop)
         } else if self_rec {
-            recursive_summary(m, fi, tg_of(fi), &sums, fargs.as_deref(), &flagged)
+            recursive_summary(m, fi, tg_of(fi), &sums, fargs.as_deref(), spawn_loop)
         } else {
-            plain_summary(m, fi, tg_of(fi), &sums, fargs.as_deref(), &flagged)
+            plain_summary(m, fi, tg_of(fi), &sums, fargs.as_deref(), spawn_loop)
         };
         sums[fi] = Some(s);
     }
@@ -490,7 +483,7 @@ fn plain_summary(
     tg: &TaskGraph,
     sums: &[Option<FnSummary>],
     args: Option<&[i64]>,
-    flagged: &[String],
+    spawn_loop: bool,
 ) -> FnSummary {
     let fid = FuncId(fi as u32);
     let f = m.function(fid);
@@ -512,7 +505,6 @@ fn plain_summary(
         Bound { lo, hi: work.hi }
     };
 
-    let spawn_loop = flagged.iter().any(|n| n == &f.name);
     let local_depth = max_task_depth(tg);
     let mut chain_hi: Option<u64> = Some(local_depth);
     let mut units: BTreeMap<String, Bound> = tg
@@ -568,7 +560,7 @@ fn recursive_summary(
     tg: &TaskGraph,
     sums: &[Option<FnSummary>],
     args: Option<&[i64]>,
-    flagged: &[String],
+    spawn_loop: bool,
 ) -> FnSummary {
     let fid = FuncId(fi as u32);
     let f = m.function(fid);
@@ -654,7 +646,6 @@ fn recursive_summary(
     // queues breadth-first, so chain depth alone is not a safe bound (the
     // boundary sweep shows mergesort wedging well above its depth); the
     // tree node count is, and for a pure chain like deeprec it is exact.
-    let spawn_loop = flagged.iter().any(|n| n == &f.name);
     let unit_hi = if spawn_loop { None } else { nodes.hi };
     let mut units: BTreeMap<String, Bound> =
         tg.task_ids().map(|t| (tg.task(t).name.clone(), Bound { lo: 0, hi: unit_hi })).collect();
@@ -699,7 +690,7 @@ fn multi_scc_summary(
     tg: &TaskGraph,
     sums: &[Option<FnSummary>],
     args: Option<&[i64]>,
-    flagged: &[String],
+    spawn_loop: bool,
 ) -> FnSummary {
     let fid = FuncId(fi as u32);
     let f = m.function(fid);
@@ -714,7 +705,6 @@ fn multi_scc_summary(
     let work = one(|s| s.work, BaseMetric::Insts);
     let mem_ops = one(|s| s.mem_ops, BaseMetric::MemOps);
     let spawns = one(|s| s.spawns, BaseMetric::Spawns);
-    let spawn_loop = flagged.iter().any(|n| n == &f.name);
     let units: BTreeMap<String, Bound> =
         tg.task_ids().map(|t| (tg.task(t).name.clone(), Bound::TOP)).collect();
     FnSummary {

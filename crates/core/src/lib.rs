@@ -311,16 +311,13 @@ impl CompiledDesign {
     ///
     /// # Errors
     ///
-    /// Returns [`AnalyzeError`] when the module fails lint preparation or
-    /// `entry` is out of range.
+    /// Returns [`AnalyzeError`] when `entry` is out of range.
     pub fn analyze(
         &self,
         entry: tapas_ir::FuncId,
         args: &[tapas_ir::interp::Val],
     ) -> Result<AnalysisReport, AnalyzeError> {
-        let lint = tapas_lint::lint_module(&self.module, &tapas_lint::LintConfig::default())
-            .map_err(|e| AnalyzeError(e.to_string()))?;
-        tapas_analyze::analyze_prepared(&self.module, &self.graphs, &lint, entry, args)
+        tapas_analyze::analyze_prepared(&self.module, &self.graphs, entry, args)
     }
 
     /// Stage 3 (resource backend): design description for `tapas-res`.

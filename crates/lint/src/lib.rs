@@ -114,6 +114,20 @@ pub fn lint_module(module: &Module, cfg: &LintConfig) -> Result<LintReport, tapa
     Ok(report)
 }
 
+/// The functions rule `TL0105` flags, over task graphs already extracted
+/// from `module`: exactly the functions of [`lint_module`]'s `TL0105`
+/// diagnostics, without running the race detector or the other lints.
+/// The static analyzer reads only this rule.
+pub fn unbounded_spawn_loops(module: &Module, graphs: &[TaskGraph]) -> Vec<FuncId> {
+    let cg = lints::CallGraph::build(module);
+    graphs
+        .iter()
+        .filter(|tg| tg.task_ids().any(|t| !tg.task(t).detach_sites.is_empty()))
+        .filter(|tg| !lints::unbounded_spawn_loop_sites(&FnCtx::new(module, tg), &cg).is_empty())
+        .map(|tg| tg.func)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,6 +387,8 @@ mod tests {
             r.diagnostics.iter().any(|d| d.rule == RuleCode::UnboundedSpawnLoop),
             "expected TL0105:\n{r}"
         );
+        let graphs = tapas_task::extract_module(&m).unwrap();
+        assert_eq!(unbounded_spawn_loops(&m, &graphs), [fid], "the narrow pass agrees");
 
         // The canonical clean cilk_for spawns leaf tasks: not flagged.
         let m2 = clean_pfor();
@@ -381,6 +397,8 @@ mod tests {
             !r2.diagnostics.iter().any(|d| d.rule == RuleCode::UnboundedSpawnLoop),
             "leaf spawn loop must not be flagged:\n{r2}"
         );
+        let graphs = tapas_task::extract_module(&m2).unwrap();
+        assert!(unbounded_spawn_loops(&m2, &graphs).is_empty(), "the narrow pass agrees");
     }
 
     #[test]

@@ -164,6 +164,29 @@ fn dead_detach(ctx: &FnCtx<'_>, accesses: &[Access], calls: &[CallSite], report:
 /// it. The static analyzer treats flagged functions as occupancy-unbounded
 /// (`min_safe_ntasks = none`), so this lint is also a safety input.
 fn unbounded_spawn_loop(ctx: &FnCtx<'_>, cg: &CallGraph, report: &mut LintReport) {
+    for (db, child, header) in unbounded_spawn_loop_sites(ctx, cg) {
+        report.push(Diagnostic {
+            severity: Severity::Warning,
+            rule: RuleCode::UnboundedSpawnLoop,
+            location: ctx.location(db),
+            related: None,
+            message: format!(
+                "loop at {} spawns recursive task {} and never syncs in its body; live tasks grow without bound",
+                ctx.block_label(header),
+                ctx.tg.task(child).name
+            ),
+        });
+    }
+}
+
+/// The TL0105 sites of one function, one per offending detach: the detach
+/// block, the task it spawns and the header of the first enclosing loop
+/// whose body never syncs.
+pub fn unbounded_spawn_loop_sites(
+    ctx: &FnCtx<'_>,
+    cg: &CallGraph,
+) -> Vec<(BlockId, TaskId, BlockId)> {
+    let mut sites = Vec::new();
     for t in ctx.tg.task_ids() {
         for &(db, child) in &ctx.tg.task(t).detach_sites {
             let enclosing = ctx.li.containing(db);
@@ -188,27 +211,18 @@ fn unbounded_spawn_loop(ctx: &FnCtx<'_>, cg: &CallGraph, report: &mut LintReport
             if !reenters {
                 continue;
             }
-            for &l in &enclosing {
-                let body = &ctx.li.loops[l].body;
-                let syncs_inside =
-                    body.iter().any(|&b| matches!(ctx.f.block(b).term, Terminator::Sync { .. }));
-                if !syncs_inside {
-                    report.push(Diagnostic {
-                        severity: Severity::Warning,
-                        rule: RuleCode::UnboundedSpawnLoop,
-                        location: ctx.location(db),
-                        related: None,
-                        message: format!(
-                            "loop at {} spawns recursive task {} and never syncs in its body; live tasks grow without bound",
-                            ctx.block_label(ctx.li.loops[l].header),
-                            ctx.tg.task(child).name
-                        ),
-                    });
-                    break; // one diagnostic per detach site is enough
-                }
+            let unsynced = enclosing.iter().find(|&&l| {
+                !ctx.li.loops[l]
+                    .body
+                    .iter()
+                    .any(|&b| matches!(ctx.f.block(b).term, Terminator::Sync { .. }))
+            });
+            if let Some(&l) = unsynced {
+                sites.push((db, child, ctx.li.loops[l].header));
             }
         }
     }
+    sites
 }
 
 /// TL0104: a (transitively) recursive call with no conditional branch

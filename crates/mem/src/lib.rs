@@ -8,10 +8,14 @@
 //! memory operations from TXU dataflow nodes to the cache and back.
 //!
 //! The simulator follows the standard timing/functional split: one flat
-//! byte-addressed store holds the data ([`MemSystem::data`]), while the
-//! cache and DRAM models compute *when* each access completes.
+//! byte-addressed store holds the data (zero-filled on first touch, so a
+//! memory system that is built but never accessed costs no image), while
+//! the cache and DRAM models compute *when* each access completes.
 
 #![warn(missing_docs)]
+
+use std::borrow::Cow;
+use std::cell::OnceCell;
 
 mod cache;
 mod databox;
@@ -112,6 +116,35 @@ impl std::fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+/// Why [`MemSystem::restore_state`] refused a saved state.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RestoreError {
+    /// The saved functional image is not this system's size.
+    ImageLength {
+        /// Length of the saved image in bytes.
+        image: usize,
+        /// This system's memory size in bytes (overflow arena included).
+        mem_bytes: usize,
+    },
+    /// The saved cache geometry (bank count, line counts, L2 presence)
+    /// does not match this system.
+    Geometry(String),
+}
+
+impl std::fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RestoreError::ImageLength { image, mem_bytes } => write!(
+                f,
+                "memory image is {image} bytes but the accelerator memory is {mem_bytes} bytes"
+            ),
+            RestoreError::Geometry(e) => f.write_str(e),
+        }
+    }
+}
+
+impl std::error::Error for RestoreError {}
+
 /// A request the data box could not service: the offending request plus
 /// the reason the memory system refused it.
 #[derive(Debug, Clone, Copy)]
@@ -141,8 +174,13 @@ pub struct MemFault {
 /// ```
 #[derive(Debug)]
 pub struct MemSystem {
-    /// Functional backing store (the accelerator's view of DRAM contents).
-    pub data: Vec<u8>,
+    /// Functional backing store (the accelerator's view of DRAM contents),
+    /// `size` zero bytes created on first touch: elaboration and RTL
+    /// emission build a memory system but never access it.
+    data: OnceCell<Vec<u8>>,
+    /// Backing store size in bytes: the configured size plus any overflow
+    /// arena ([`Self::reserve_overflow`]).
+    size: usize,
     /// The shared L1 cache timing model (bank 0 when the L1 is banked).
     pub cache: Cache,
     /// Optional L2 between the L1 and DRAM (the SoC's shared 512 KiB L2 —
@@ -231,7 +269,8 @@ impl MemSystem {
     /// Create a memory system with `size` bytes of storage.
     pub fn new(size: usize, cache_cfg: CacheConfig, dram_cfg: DramConfig) -> Self {
         MemSystem {
-            data: vec![0u8; size],
+            data: OnceCell::new(),
+            size,
             cache: Cache::new(cache_cfg),
             l2: None,
             dram: Dram::new(dram_cfg),
@@ -331,11 +370,11 @@ impl MemSystem {
         if !req.addr.is_multiple_of(u64::from(req.size)) {
             return Err(MemError::Misaligned { addr: req.addr, size: req.size });
         }
-        if u128::from(req.addr) + u128::from(req.size) > self.data.len() as u128 {
+        if u128::from(req.addr) + u128::from(req.size) > self.size as u128 {
             return Err(MemError::OutOfBounds {
                 addr: req.addr,
                 size: req.size,
-                mem_bytes: self.data.len(),
+                mem_bytes: self.size,
             });
         }
         let outcome = if self.extra_banks.is_empty() {
@@ -412,6 +451,24 @@ impl MemSystem {
         !self.pending.is_empty()
     }
 
+    /// Backing store size in bytes: the configured size plus any overflow
+    /// arena.
+    pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// The functional image, zero-filled on first touch.
+    fn image(&self) -> &[u8] {
+        self.data.get_or_init(|| vec![0; self.size])
+    }
+
+    fn image_mut(&mut self) -> &mut [u8] {
+        let size = self.size;
+        self.data.get_or_init(|| vec![0; size]);
+        // invariant: get_or_init just filled the cell.
+        self.data.get_mut().unwrap()
+    }
+
     /// Functional read of `size` bytes as little-endian bits.
     ///
     /// # Panics
@@ -420,9 +477,9 @@ impl MemSystem {
     pub fn read_bits(&self, addr: u64, size: u8) -> u64 {
         let a = addr as usize;
         let s = size as usize;
-        assert!(a + s <= self.data.len(), "functional read OOB at {addr:#x}");
+        assert!(a + s <= self.size, "functional read OOB at {addr:#x}");
         let mut raw = [0u8; 8];
-        raw[..s].copy_from_slice(&self.data[a..a + s]);
+        raw[..s].copy_from_slice(&self.image()[a..a + s]);
         u64::from_le_bytes(raw)
     }
 
@@ -434,8 +491,8 @@ impl MemSystem {
     pub fn write_bits(&mut self, addr: u64, size: u8, bits: u64) {
         let a = addr as usize;
         let s = size as usize;
-        assert!(a + s <= self.data.len(), "functional write OOB at {addr:#x}");
-        self.data[a..a + s].copy_from_slice(&bits.to_le_bytes()[..s]);
+        assert!(a + s <= self.size, "functional write OOB at {addr:#x}");
+        self.image_mut()[a..a + s].copy_from_slice(&bits.to_le_bytes()[..s]);
     }
 
     /// Bulk byte write (host-side initialization).
@@ -445,8 +502,8 @@ impl MemSystem {
     /// Panics if the range is out of bounds.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         let a = addr as usize;
-        assert!(a + bytes.len() <= self.data.len());
-        self.data[a..a + bytes.len()].copy_from_slice(bytes);
+        assert!(a + bytes.len() <= self.size);
+        self.image_mut()[a..a + bytes.len()].copy_from_slice(bytes);
     }
 
     /// Bulk byte read (host-side inspection).
@@ -456,8 +513,8 @@ impl MemSystem {
     /// Panics if the range is out of bounds.
     pub fn read_bytes(&self, addr: u64, len: usize) -> &[u8] {
         let a = addr as usize;
-        assert!(a + len <= self.data.len());
-        &self.data[a..a + len]
+        assert!(a + len <= self.size);
+        &self.image()[a..a + len]
     }
 
     /// Reserve an 8-byte-aligned overflow arena above the program-visible
@@ -468,8 +525,11 @@ impl MemSystem {
     /// with it. Used by the simulator's task-queue virtualization to park
     /// spilled queue entries.
     pub fn reserve_overflow(&mut self, bytes: usize) -> u64 {
-        let base = self.data.len().next_multiple_of(8);
-        self.data.resize(base + bytes, 0u8);
+        let base = self.size.next_multiple_of(8);
+        self.size = base + bytes;
+        if let Some(data) = self.data.get_mut() {
+            data.resize(self.size, 0u8);
+        }
         base as u64
     }
 
@@ -477,10 +537,11 @@ impl MemSystem {
     /// bank, DRAM channel and the in-flight response scoreboard — for the
     /// engine snapshot. `pending` is saved in the heap's internal layout
     /// order so restore reproduces the exact pop order for responses with
-    /// equal `ready_at` (see [`DataBox::save_state`]).
-    pub fn save_state(&self) -> MemSystemState {
+    /// equal `ready_at` (see [`DataBox::save_state`]). The image is
+    /// borrowed, not copied: the snapshot encoder copies it once.
+    pub fn save_state(&self) -> MemSystemState<'_> {
         MemSystemState {
-            data: self.data.clone(),
+            data: Cow::Borrowed(self.image()),
             cache: self.cache.save_state(),
             extra_banks: self.extra_banks.iter().map(Cache::save_state).collect(),
             l2: self.l2.as_ref().map(Cache::save_state),
@@ -492,29 +553,38 @@ impl MemSystem {
 
     /// Restore state captured by [`MemSystem::save_state`] into a system
     /// built from the same configuration (including [`Self::split_banks`]
-    /// and L2 setup, which shape the bank/L2 geometry).
+    /// and L2 setup, which shape the bank/L2 geometry). An owned image is
+    /// moved in, not copied, and the system's own image is never zeroed.
     ///
     /// # Errors
     ///
-    /// Fails when the image's geometry (bank count, line counts, L2
-    /// presence) does not match this system.
-    pub fn restore_state(&mut self, st: &MemSystemState) -> Result<(), String> {
+    /// [`RestoreError::ImageLength`] when the image is not this system's
+    /// size; [`RestoreError::Geometry`] when the bank count, line counts or
+    /// L2 presence do not match.
+    pub fn restore_state(&mut self, st: MemSystemState<'_>) -> Result<(), RestoreError> {
+        if st.data.len() != self.size {
+            return Err(RestoreError::ImageLength { image: st.data.len(), mem_bytes: self.size });
+        }
         if st.extra_banks.len() != self.extra_banks.len() {
-            return Err(format!(
+            return Err(RestoreError::Geometry(format!(
                 "memory state has {} banks, system has {}",
                 st.extra_banks.len() + 1,
                 self.extra_banks.len() + 1
-            ));
+            )));
         }
         match (&mut self.l2, &st.l2) {
-            (Some(l2), Some(saved)) => l2.restore_state(saved)?,
+            (Some(l2), Some(saved)) => l2.restore_state(saved).map_err(RestoreError::Geometry)?,
             (None, None) => {}
-            _ => return Err("memory state and system disagree on L2 presence".to_string()),
+            _ => {
+                return Err(RestoreError::Geometry(
+                    "memory state and system disagree on L2 presence".to_string(),
+                ))
+            }
         }
-        self.data = st.data.clone();
-        self.cache.restore_state(&st.cache)?;
+        self.data = OnceCell::from(st.data.into_owned());
+        self.cache.restore_state(&st.cache).map_err(RestoreError::Geometry)?;
         for (bank, saved) in self.extra_banks.iter_mut().zip(&st.extra_banks) {
-            bank.restore_state(saved)?;
+            bank.restore_state(saved).map_err(RestoreError::Geometry)?;
         }
         self.dram.restore_state(&st.dram);
         self.last_bank = st.last_bank;
@@ -529,11 +599,12 @@ impl MemSystem {
 }
 
 /// Plain-data image of the whole memory system's dynamic state (snapshot
-/// payload).
+/// payload). The image borrows from the live system on capture and is
+/// owned when decoded from a payload.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct MemSystemState {
+pub struct MemSystemState<'a> {
     /// Functional backing store contents.
-    pub data: Vec<u8>,
+    pub data: Cow<'a, [u8]>,
     /// L1 bank 0.
     pub cache: CacheState,
     /// L1 banks 1..N when banked.
@@ -600,7 +671,7 @@ mod tests {
         let mut ms = MemSystem::new(100, CacheConfig::default(), DramConfig::default());
         let base = ms.reserve_overflow(64);
         assert_eq!(base, 104, "base rounds the 100-byte footprint up to 8");
-        assert_eq!(ms.data.len(), 104 + 64);
+        assert_eq!(ms.size(), 104 + 64);
         // Arena addresses are serviceable through the timing path.
         let t = ms
             .issue(
@@ -640,6 +711,60 @@ mod tests {
         // A huge address must not overflow the bounds check.
         let huge = ms.issue(req(4, u64::MAX - 7, MemOpKind::Read, 0), 0).unwrap_err();
         assert!(matches!(huge, MemError::OutOfBounds { .. }));
+    }
+
+    #[test]
+    fn memory_is_allocated_on_first_touch_and_reads_as_zeros() {
+        let ms = MemSystem::new(4096, CacheConfig::default(), DramConfig::default());
+        assert!(ms.data.get().is_none(), "construction allocates no image");
+        assert_eq!(ms.size(), 4096);
+        assert!(ms.read_bytes(0, 4096).iter().all(|&b| b == 0));
+        assert_eq!(ms.data.get().map(Vec::len), Some(4096), "a read creates the image");
+        let mut ms = MemSystem::new(64, CacheConfig::default(), DramConfig::default());
+        ms.write_bits(60, 4, 0xaabb_ccdd);
+        assert_eq!(ms.read_bits(56, 8), 0xaabb_ccdd_0000_0000);
+    }
+
+    #[test]
+    fn out_of_bounds_before_first_touch_names_the_configured_size() {
+        let mut ms = MemSystem::new(64, CacheConfig::default(), DramConfig::default());
+        let oob = ms.issue(req(1, 64, MemOpKind::Write, 7), 0).unwrap_err();
+        assert_eq!(oob, MemError::OutOfBounds { addr: 64, size: 4, mem_bytes: 64 });
+        assert!(ms.data.get().is_none(), "a refused request touches nothing");
+    }
+
+    #[test]
+    fn overflow_arena_base_is_the_same_before_and_after_first_touch() {
+        let cold = || MemSystem::new(100, CacheConfig::default(), DramConfig::default());
+        let mut untouched = cold();
+        let mut touched = cold();
+        touched.write_bytes(96, &[1, 2, 3, 4]);
+        assert_eq!(untouched.reserve_overflow(64), 104);
+        assert_eq!(touched.reserve_overflow(64), 104);
+        assert!(untouched.data.get().is_none());
+        assert_eq!((untouched.size(), touched.size()), (168, 168));
+        assert_eq!(touched.read_bytes(96, 8), [1, 2, 3, 4, 0, 0, 0, 0]);
+        assert!(untouched.read_bytes(0, 168).iter().all(|&b| b == 0));
+        assert_eq!(touched.read_bytes(100, 68), untouched.read_bytes(100, 68));
+    }
+
+    #[test]
+    fn restore_moves_the_image_in_and_rejects_a_wrong_length() {
+        let mut src = MemSystem::new(256, CacheConfig::default(), DramConfig::default());
+        src.write_bytes(8, &[9; 8]);
+        let image = src.save_state().data.into_owned();
+        let at = image.as_ptr();
+        let mut dst = MemSystem::new(256, CacheConfig::default(), DramConfig::default());
+        let st = MemSystemState { data: Cow::Owned(image), ..src.save_state() };
+        dst.restore_state(st).unwrap();
+        assert_eq!(dst.image().as_ptr(), at, "the decoded image is moved, not copied");
+        assert_eq!(dst.read_bytes(0, 256), src.read_bytes(0, 256));
+
+        let short = MemSystemState { data: Cow::Owned(vec![0; 128]), ..src.save_state() };
+        let mut dst = MemSystem::new(256, CacheConfig::default(), DramConfig::default());
+        let err = dst.restore_state(short).unwrap_err();
+        assert_eq!(err, RestoreError::ImageLength { image: 128, mem_bytes: 256 });
+        assert!(dst.data.get().is_none(), "a refused restore touches nothing");
     }
 }
 
@@ -708,7 +833,7 @@ mod bank_tests {
                     }
                 }
             }
-            (ms.data, reads)
+            (ms.read_bytes(0, ms.size()).to_vec(), reads)
         };
         let (data1, reads1) = run(1);
         let (data4, reads4) = run(4);
@@ -853,7 +978,7 @@ mod l2_tests {
                     }
                 };
             }
-            ms.data
+            ms.read_bytes(0, ms.size()).to_vec()
         };
         assert_eq!(mk(false), mk(true), "timing levels never change data");
     }

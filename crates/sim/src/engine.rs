@@ -9,6 +9,7 @@ use crate::fault::{
 use crate::profile::{NodeClass, Profile, ProfileLevel, QueueSummary, StallReason, TileProfile};
 use crate::snapshot::{Dec, Enc, EngineSnapshot, SnapshotError};
 use crate::AcceleratorConfig;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
 use tapas_dfg::{DfgNode, NodeOp, Operand, TaskDfg, TermInfo};
@@ -829,8 +830,8 @@ fn enc_mem_system(e: &mut Enc, st: &MemSystemState) {
     enc_resp_schedule(e, &st.pending);
 }
 
-fn dec_mem_system(d: &mut Dec) -> Result<MemSystemState, String> {
-    let data = d.bytes()?.to_vec();
+fn dec_mem_system(d: &mut Dec) -> Result<MemSystemState<'static>, String> {
+    let data = Cow::Owned(d.bytes()?.to_vec());
     let cache = dec_cache(d)?;
     let nb = d.len()?;
     let mut extra_banks = Vec::with_capacity(nb);
@@ -2101,7 +2102,7 @@ impl Accelerator {
             self.req_map.insert(id, meta);
         }
         let ms_state = dec_mem_system(&mut d)?;
-        self.ms.restore_state(&ms_state)?;
+        self.ms.restore_state(ms_state).map_err(|e| e.to_string())?;
         let db_state = dec_databox(&mut d)?;
         self.databox.restore_state(&db_state)?;
         let nev = d.len()?;
@@ -3783,7 +3784,7 @@ impl Accelerator {
     /// program-visible footprint (the overflow arena above it is reserved
     /// for the engine).
     fn check_inline_access(&self, unit: usize, addr: u64, size: u8) -> Result<(), SimError> {
-        let bounds = if self.spill_base > 0 { self.spill_base } else { self.ms.data.len() as u64 };
+        let bounds = if self.spill_base > 0 { self.spill_base } else { self.ms.size() as u64 };
         let fault = if !size.is_power_of_two() || size > 8 {
             Some(MemError::BadSize { size })
         } else if !addr.is_multiple_of(u64::from(size)) {
@@ -5022,6 +5023,83 @@ mod admission_tests {
             let msg = corrupt(tamper);
             assert!(msg.contains("unit 1") && msg.contains(want), "{want}: {msg}");
         }
+    }
+
+    #[test]
+    fn restore_rejects_a_memory_image_of_the_wrong_length() {
+        let cfg = AcceleratorConfig { ntasks: 4, mem_bytes: 4096, ..AcceleratorConfig::default() };
+        let mut m = Module::new("m");
+        let f = build_pfor(&mut m);
+        let halt = AcceleratorConfig { halt_at_cycle: Some(40), ..cfg.clone() };
+        let mut acc = elaborate(&m, &halt);
+        acc.mem_mut().write_bytes(0, &pfor_mem(32));
+        assert!(matches!(acc.run(f, &[Val::Int(0), Val::Int(32)]), Err(SimError::Halted { .. })));
+        // Seal a payload whose image is half the configured memory.
+        acc.ms = MemSystem::new(2048, cfg.cache.clone(), cfg.dram.clone());
+        let snap = acc.capture_snapshot(RunCtl {
+            start_cycle: 0,
+            last_progress: acc.cycle,
+            next_snapshot: u64::MAX,
+            halt_at: None,
+            instrumented: false,
+            event_driven: true,
+        });
+        let mut fresh = elaborate(&m, &cfg);
+        match fresh.resume(&snap) {
+            Err(SimError::Snapshot(msg)) => assert!(
+                msg.contains("memory image is 2048 bytes")
+                    && msg.contains("accelerator memory is 4096 bytes"),
+                "{msg}"
+            ),
+            other => panic!("expected a snapshot error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn first_touch_memory_behaves_like_eager_memory() {
+        let n = 32u64;
+        let cfg = AcceleratorConfig {
+            ntasks: 2,
+            mem_bytes: 4096,
+            admission: Some(AdmissionControl::virtualized()),
+            ..AcceleratorConfig::default()
+        };
+        let mut m = Module::new("m");
+        let f = build_pfor(&mut m);
+        // A fresh accelerator reads as zeros over its whole memory, overflow
+        // arena included, and the arena sits where it always has.
+        let fresh = elaborate(&m, &cfg);
+        let arena = AdmissionControl::virtualized().overflow_entries * 8;
+        assert_eq!((fresh.spill_base, fresh.mem().size()), (4096, 4096 + arena));
+        assert!(fresh.mem().read_bytes(0, 4096 + arena).iter().all(|&b| b == 0));
+        // An out-of-bounds access names the configured size.
+        let mut fresh = elaborate(&m, &cfg);
+        let req = MemReq {
+            id: ReqId(0),
+            port: 0,
+            addr: 4096 + arena as u64,
+            size: 4,
+            kind: MemOpKind::Read,
+            wdata: 0,
+        };
+        let err = fresh.ms.issue(req, 0).unwrap_err();
+        assert_eq!(
+            err,
+            MemError::OutOfBounds { addr: 4096 + arena as u64, size: 4, mem_bytes: 4096 + arena }
+        );
+        // Kill mid-run, resume into an accelerator whose memory was never
+        // touched: cycles and memory match the uninterrupted run.
+        let (whole, whole_mem) = run_pfor(&cfg, n);
+        let halt = AcceleratorConfig { halt_at_cycle: Some(200), ..cfg.clone() };
+        let mut victim = elaborate(&m, &halt);
+        victim.mem_mut().write_bytes(0, &pfor_mem(n));
+        assert!(matches!(victim.run(f, &[Val::Int(0), Val::Int(n)]), Err(SimError::Halted { .. })));
+        let snap = victim.take_halt_snapshot().expect("the halt hook captured a snapshot");
+        let mut resumed = elaborate(&m, &cfg);
+        let out = resumed.resume(&snap).unwrap();
+        assert_eq!(out, whole);
+        assert_eq!(resumed.mem().read_bytes(0, whole_mem.len()), &whole_mem[..]);
+        assert_eq!(whole_mem, golden_pfor(n));
     }
 
     #[test]

@@ -9,12 +9,15 @@
 # perfbench, then runs `pairs` (default 10) base/head pairs of
 #   perfbench --workload <workload> --seed <seed> --seconds <run_seconds>
 # with run_seconds taken from BENCHMARK.json, flipping which side runs
-# first on every pair. Each run's report line is kept under
-# target/ab/runs/. Prints, per end-to-end metric of BENCHMARK.json, both
-# medians with quartiles, head/base, the pairs head won (ties count for
-# neither), whether the medians differ by more than the base's
-# interquartile range, and the bound verdict. Exits 1 if any run was not
-# `"correct":true` with `"failed":0`.
+# first on every pair. Each run's JSON report line and its
+# `job CPU time tail:` line are kept under target/ab/runs/. Prints, per
+# end-to-end metric of BENCHMARK.json, both medians with quartiles,
+# head/base, the pairs head won (ties count for neither), whether the
+# medians differ by more than the base's interquartile range, and the
+# bound verdict; then the percentile and job count each side reported
+# job_ms_tail at, with a warning when the sides (or a side's own runs)
+# used different percentiles, since their tails then measure different
+# jobs. Exits 1 if any run was not `"correct":true` with `"failed":0`.
 set -euo pipefail
 
 if [[ $# -lt 3 || $# -gt 4 ]]; then
@@ -50,8 +53,12 @@ mkdir -p "${runs}"
 run_side() { # <side> <pair>
   local dir=${root}
   [[ $1 == base ]] && dir=${base_dir}
-  (cd "${dir}" && "${cmd[@]}" --workload "${workload}" --seed "${seed}" \
-      --seconds "${secs}" --trace 0 | tail -n 1) >"${runs}/$1-$2.json"
+  local out
+  out=$(cd "${dir}" && "${cmd[@]}" --workload "${workload}" --seed "${seed}" \
+      --seconds "${secs}" --trace 0)
+  tail -n 1 <<<"${out}" >"${runs}/$1-$2.json"
+  { grep -m 1 '^job CPU time tail:' <<<"${out}" || echo "job CPU time tail: not reported"; } \
+      >"${runs}/$1-$2.tail"
   echo "  pair $2 $1: $(jq -c '{correct, failed, jobs_per_s: .metrics.jobs_per_s.value}' \
       "${runs}/$1-$2.json")" >&2
 }
@@ -99,5 +106,23 @@ jq -rn --slurpfile b "${runs}/base.jsonl" --slurpfile h "${runs}/head.jsonl" \
           line = ""
           for (i = 1; i <= cols; i++) line = line sprintf("%-" (w[i] + 2) "s", cell[r, i])
           sub(/ +$/, "", line); print line } }'
+
+tail_at() { # <side>: the percentiles, then the job counts, its runs reported the tail at
+  local pcts ns
+  pcts=$(for ((i = 0; i < pairs; i++)); do
+    sed -E 's/^job CPU time tail: (p[0-9.]+) .*/\1/; s/^job CPU time tail: (omitted|not).*/none/' \
+      "${runs}/$1-${i}.tail"
+  done | sort -u | paste -sd , -)
+  ns=$(for ((i = 0; i < pairs; i++)); do
+    sed -nE 's/.*\(n=([0-9]+)\)$/\1/p; s/.*only ([0-9]+) jobs$/\1/p' "${runs}/$1-${i}.tail"
+  done | sort -n | sed -n '1p;$p' | paste -sd - -)
+  echo "${pcts} (n=${ns:-?})"
+}
+base_tail=$(tail_at base) head_tail=$(tail_at head)
+echo "job_ms_tail reported at: base ${base_tail}, head ${head_tail}"
+if [[ ${base_tail%% *} != "${head_tail%% *}" || ${base_tail%% *} == *,* ]]; then
+  echo "WARNING: job_ms_tail is not one percentile across the runs (base ${base_tail%% *}," \
+    "head ${head_tail%% *}); its medians compare different jobs, read job_ms_p50 instead"
+fi
 echo "runs kept in ${runs#"${root}"/}"
 ! grep -qv '"correct":true,.*"failed":0,' "${runs}/base.jsonl" "${runs}/head.jsonl"

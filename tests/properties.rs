@@ -260,7 +260,7 @@ fn memory_system_matches_flat_shadow() {
             }
             now = done;
         }
-        assert_eq!(&ms.data[..], &shadow[..]);
+        assert_eq!(ms.read_bytes(0, ms.size()), &shadow[..]);
     }
 }
 
