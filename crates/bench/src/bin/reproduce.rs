@@ -1,24 +1,30 @@
-//! Regenerate the paper's tables and figures.
+//! Regenerate the paper's tables and figures, and run the harness
+//! experiments.
 //!
 //! ```text
 //! cargo run --release -p tapas-bench --bin reproduce [experiment] [flags]
 //! ```
 //!
-//! where `experiment` is one of `table2`, `spawn`, `fig13`, `table3`,
-//! `fig14`, `fig15`, `fig16`, `table4`, `fig17`, `table5`, `lint`,
-//! `profile`, `faults`, `stress`, `tune`, `analyze`, `bench`,
-//! `differential`, `chaos`, or `all` (default). Pass `--json <path>` to also dump
-//! the raw rows (for `all` and every runner experiment; the dump carries
-//! a `schema_version` field). `check-json <path>` validates a previously
-//! written dump: well-formed JSON with the current schema version.
-//! `--list` prints every runner experiment with its schema version.
+//! Every `experiment` comes from the [`tapas_bench::experiment`] registry
+//! (`reproduce --list` prints them): the paper sections `table2`,
+//! `spawn`, `fig13`, `table3`, `fig14`, `fig15`, `fig16`, `table4`,
+//! `fig17`, `table5`, `grain_ablation`, `mem_ablation` and
+//! `elision_ablation`, then `lint`, `profile`, `faults`, `stress`, `tune`,
+//! `analyze`, `differential`, `chaos`, `fuzzsim`, and `all` (default),
+//! which runs the paper sections, `profile`, `faults` and `lint` as one
+//! sweep. Each decomposes into independent deterministic cells drained by
+//! worker threads of the `tapas-exec` sweep executor. Pass `--json
+//! <path>` to also dump the raw rows (the dump carries a
+//! `schema_version` field; `all` keys each section by its name).
 //!
-//! The runner experiments (`profile`, `faults`, `stress`, `tune`,
-//! `analyze`, `bench`, `differential`, `chaos`, `fuzzsim`) go through the
-//! unified [`tapas_bench::experiment`] registry on top of the
-//! `tapas-exec` sweep executor: each experiment decomposes into
-//! independent deterministic cells drained by worker threads. Scheduling
-//! flags:
+//! Two subcommands read dumps instead of running cells: `check-json
+//! <path>` validates one (well-formed JSON with the current schema
+//! version), and `golden-diff <golden> <fresh>` requires every value of
+//! the golden dump to be equal in the fresh one, printing the first
+//! differing path (`fig15[3].speedup: 3.91 -> 3.87`) and exiting 1 when
+//! one is not.
+//!
+//! Scheduling flags:
 //!
 //! - `--jobs <N>` worker threads (default: one per core)
 //! - `--retries <N>` retries per failing cell (default 1, cap 32)
@@ -49,21 +55,13 @@
 //! The sweep summary and checkpoint notes go to **stderr**; stdout
 //! carries exactly the experiment's tables, so piped output is identical
 //! across `--jobs` values and across interrupted-then-resumed runs. Any
-//! failed or unattempted cell maps to a non-zero exit.
-//!
-//! `bench` runs every benchmark on both engine cores (event-driven and
-//! stepped), asserts their cycle counts agree, and reports simulated
-//! cycles/second, the spawn-bound-suite wall-clock speedup, the wall
-//! time of the tune/differential/boundary sweeps and the serial-vs-
-//! sharded executor speedup. `bench-compare <current> <baseline>` exits
-//! non-zero when the current run's total wall clock regressed more than
-//! 2x against the committed baseline (`BENCH_8.json`), or when a
-//! multi-core sharded run collapsed below 0.45x of serial.
+//! failed or unattempted cell maps to a non-zero exit, and so does a
+//! silently wrong fault row, in `faults` and in `all` alike.
 
 use std::time::Duration;
-use tapas_bench::experiment;
-use tapas_bench::experiments as exp;
-use tapas_bench::json::{self, ToJson};
+use tapas_bench::experiment::{self, encode_value};
+use tapas_bench::experiments::JSON_SCHEMA_VERSION;
+use tapas_bench::json::{self, JsonValue};
 use tapas_exec as exec;
 
 fn usage_exit(msg: &str) -> ! {
@@ -182,7 +180,7 @@ fn main() {
     let (positional, flags) = parse_args();
     if flags.list {
         for e in experiment::registry() {
-            println!("{:<14} v{:<3} {}", e.name, e.schema_version, e.summary);
+            println!("{:<16} v{:<3} {}", e.name, JSON_SCHEMA_VERSION, e.summary);
         }
         return;
     }
@@ -207,96 +205,23 @@ fn main() {
         }
     }
 
-    // Runner experiments share one dispatch path: sweep, print, dump, exit.
-    if let Some(e) = experiment::find(&which) {
-        run_experiment(e, &flags);
-        return;
-    }
-
-    match which.as_str() {
-        "check-json" => {
-            let path = positional.get(1).unwrap_or_else(|| {
-                eprintln!("usage: reproduce check-json <path>");
-                std::process::exit(2);
-            });
-            check_json(path);
-            return;
+    match (which.as_str(), positional.get(1), positional.get(2)) {
+        ("check-json", Some(path), _) => check_json(path),
+        ("check-json", ..) => usage_exit("usage: reproduce check-json <path>"),
+        ("golden-diff", Some(golden), Some(fresh)) => golden_diff(golden, fresh),
+        ("golden-diff", ..) => {
+            usage_exit("usage: reproduce golden-diff <golden.json> <fresh.json>")
         }
-        "bench-compare" => {
-            let (cur, base) = match (positional.get(1), positional.get(2)) {
-                (Some(c), Some(b)) => (c, b),
-                _ => {
-                    eprintln!("usage: reproduce bench-compare <current.json> <baseline.json>");
-                    std::process::exit(2);
-                }
-            };
-            bench_compare(cur, base);
-            return;
-        }
-        _ => {}
-    }
-
-    match which.as_str() {
-        "table2" => print_table2(&exp::table2()),
-        "spawn" | "spawn_latency" => print_spawn(&exp::spawn_latency()),
-        "fig13" => print_fig13(&exp::fig13()),
-        "table3" => print_table3(&exp::table3()),
-        "fig14" => print_fig14(&exp::fig14()),
-        "fig15" => print_fig15(&exp::fig15()),
-        "fig16" => print_fig16(&exp::fig16()),
-        "table4" => print_table4(&exp::table4()),
-        "fig17" => print_fig17(&exp::fig17()),
-        "table5" => print_table5(&exp::table5()),
-        "grain" | "grain_ablation" => print_grain(&exp::grain_ablation()),
-        "mem" | "mem_ablation" => print_mem(&exp::mem_ablation()),
-        "elision" | "elision_ablation" => print_elision(&exp::elision_ablation()),
-        "lint" => print_lint(),
-        "all" => {
-            let all = exp::all();
-            print_table2(&all.table2);
-            print_spawn(&all.spawn);
-            print_fig13(&all.fig13);
-            print_table3(&all.table3);
-            print_fig14(&all.fig14);
-            print_fig15(&all.fig15);
-            print_fig16(&all.fig16);
-            print_table4(&all.table4);
-            print_fig17(&all.fig17);
-            print_table5(&all.table5);
-            print_grain(&all.grain_ablation);
-            print_mem(&all.mem_ablation);
-            print_elision(&all.elision_ablation);
-            print!("{}", experiment::render_profile(&all.profile));
-            print!("{}", experiment::render_faults(&all.faults));
-            print_lint();
-            if let Some(p) = &flags.json_path {
-                std::fs::write(p, all.to_json()).expect("write json");
-                println!("\nraw rows written to {p}");
+        _ => match experiment::find(&which) {
+            Some(e) => run_experiment(e, &flags),
+            None => {
+                let names: Vec<&str> = experiment::registry().iter().map(|e| e.name).collect();
+                usage_exit(&format!(
+                    "unknown experiment `{which}`\nexpected one of: {}, check-json, golden-diff",
+                    names.join(", ")
+                ));
             }
-            // The embedded fault matrix must fail the run exactly as
-            // `reproduce faults` would — `all` is not a silent path.
-            let wrong = all.faults.iter().filter(|r| r.silently_wrong()).count();
-            if wrong > 0 {
-                eprintln!("all: {wrong} fault run(s) completed with silently corrupted output");
-                std::process::exit(1);
-            }
-            return;
-        }
-        other => {
-            eprintln!("unknown experiment `{other}`");
-            eprint!(
-                "expected one of: table2, spawn, fig13, table3, fig14, fig15, fig16, table4, \
-                 fig17, table5, grain, mem, elision, lint"
-            );
-            for e in experiment::registry() {
-                eprint!(", {}", e.name);
-            }
-            eprintln!(", check-json, bench-compare, all");
-            std::process::exit(2);
-        }
-    }
-    if flags.json_path.is_some() {
-        eprintln!("--json is only supported with `all` and the runner experiments");
+        },
     }
 }
 
@@ -368,31 +293,28 @@ fn run_experiment(e: &experiment::Experiment, flags: &Flags) {
     }
 }
 
-fn hdr(title: &str) {
-    println!("\n=== {title} ===");
+/// Read and parse a `--json` dump, or exit 1 naming the command.
+fn load(cmd: &str, path: &str) -> JsonValue {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("{cmd}: cannot read {path}: {e}");
+        std::process::exit(1);
+    });
+    json::parse(&text).unwrap_or_else(|e| {
+        eprintln!("{cmd}: {path} is not valid JSON: {e}");
+        std::process::exit(1);
+    })
 }
 
 /// Validate a `reproduce --json` dump: parses as JSON and carries the
 /// current schema version.
 fn check_json(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("check-json: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let doc = json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("check-json: {path} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-    let version = doc.get("schema_version").and_then(json::JsonValue::as_f64);
-    match version {
-        Some(v) if v == exp::JSON_SCHEMA_VERSION as f64 => {
-            println!("{path}: valid, schema version {}", exp::JSON_SCHEMA_VERSION);
+    let doc = load("check-json", path);
+    match doc.get("schema_version").and_then(JsonValue::as_f64) {
+        Some(v) if v == JSON_SCHEMA_VERSION as f64 => {
+            println!("{path}: valid, schema version {JSON_SCHEMA_VERSION}");
         }
         Some(v) => {
-            eprintln!(
-                "check-json: {path} has schema version {v}, expected {}",
-                exp::JSON_SCHEMA_VERSION
-            );
+            eprintln!("check-json: {path} has schema version {v}, expected {JSON_SCHEMA_VERSION}");
             std::process::exit(1);
         }
         None => {
@@ -402,235 +324,58 @@ fn check_json(path: &str) {
     }
 }
 
-/// Gate: fail when the current bench run's total wall clock regressed
-/// more than 2x against the committed baseline, or when a multi-core
-/// sharded run was drastically slower than serial. Wall clock is machine
-/// dependent, hence the deliberately loose factors — the gate catches
-/// order-of-magnitude harness regressions, not noise.
-fn bench_compare(current: &str, baseline: &str) {
-    let load = |path: &str| -> json::JsonValue {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("bench-compare: cannot read {path}: {e}");
+/// Gate a fresh dump on a golden one: every value the golden holds must
+/// be in the fresh dump and equal. The first differing path is printed
+/// and exits 1; members only the fresh dump has are noted on stderr, so
+/// a new section does not fail the gate until the golden pins it.
+fn golden_diff(golden: &str, fresh: &str) {
+    let mut added = Vec::new();
+    let diff =
+        first_diff(&load("golden-diff", golden), &load("golden-diff", fresh), "", &mut added);
+    for path in added {
+        eprintln!("golden-diff: note: `{path}` is not in {golden}");
+    }
+    match diff {
+        Some(line) => {
+            println!("{line}");
             std::process::exit(1);
-        });
-        json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("bench-compare: {path} is not valid JSON: {e}");
-            std::process::exit(1);
-        })
-    };
-    let total = |doc: &json::JsonValue, path: &str| -> f64 {
-        doc.get("total_wall_ms").and_then(json::JsonValue::as_f64).unwrap_or_else(|| {
-            eprintln!("bench-compare: {path} lacks a numeric `total_wall_ms`");
-            std::process::exit(1);
-        })
-    };
-    let cur_doc = load(current);
-    let cur = total(&cur_doc, current);
-    let base = total(&load(baseline), baseline);
-    if cur > 2.0 * base {
-        eprintln!(
-            "bench-compare: total wall clock regressed: {cur:.0} ms vs baseline {base:.0} ms \
-             (limit 2x)"
-        );
-        std::process::exit(1);
-    }
-    let shard_jobs = cur_doc.get("shard_jobs").and_then(json::JsonValue::as_f64).unwrap_or(0.0);
-    let shard_speedup =
-        cur_doc.get("shard_speedup").and_then(json::JsonValue::as_f64).unwrap_or(1.0);
-    if shard_jobs > 1.0 && shard_speedup < 0.45 {
-        eprintln!(
-            "bench-compare: sharded sweep collapsed: {shard_speedup:.2}x at jobs={shard_jobs:.0} \
-             (floor 0.45x)"
-        );
-        std::process::exit(1);
-    }
-    println!("bench-compare: {cur:.0} ms vs baseline {base:.0} ms — within 2x");
-}
-
-fn print_lint() {
-    hdr("Static analysis: tapas-lint over the benchmark suite");
-    println!("{:<16} {:>6} worst", "bench", "diags");
-    let mut programs = tapas_workloads::suite_eval();
-    programs.extend(tapas_workloads::racy::racy_suite());
-    for wl in programs {
-        let report = tapas_lint::lint_module(&wl.module, &tapas_lint::LintConfig::default())
-            .expect("workloads are well-formed");
-        let worst =
-            report.diagnostics.first().map(|d| d.render()).unwrap_or_else(|| "clean".to_string());
-        println!("{:<16} {:>6} {}", wl.name, report.diagnostics.len(), worst);
+        }
+        None => println!("golden-diff: {fresh} matches {golden}"),
     }
 }
 
-fn print_table2(rows: &[exp::Table2Row]) {
-    hdr("Table II: benchmark properties");
-    println!("{:<12} {:<26} {:>6} {:>6} {:>6}", "name", "HLS challenge", "insts", "#mem", "tasks");
-    for r in rows {
-        println!(
-            "{:<12} {:<26} {:>6} {:>6} {:>6}",
-            r.name, r.challenge, r.per_task_insts, r.mem_ops, r.tasks
-        );
-    }
-}
-
-fn print_spawn(r: &exp::SpawnLatencyResult) {
-    hdr("§V-A: task spawn overhead");
-    println!(
-        "min spawn latency: {} cycles (paper: ~10); sustained {:.1} M spawns/s @ {:.0} MHz (paper: 40M)",
-        r.min_latency_cycles,
-        r.spawns_per_sec / 1e6,
-        r.clock_mhz
-    );
-}
-
-fn print_fig13(rows: &[exp::Fig13Row]) {
-    hdr("Fig. 13: spawn-rate scaling (Arria 10), Madds/s");
-    print!("{:>8}", "adders");
-    for t in 1..=5 {
-        print!(" {:>9}", format!("{t} tile{}", if t > 1 { "s" } else { "" }));
-    }
-    println!(" {:>9}", "software");
-    let mut by_adders: Vec<u32> = rows.iter().map(|r| r.adders).collect();
-    by_adders.dedup();
-    for a in by_adders {
-        print!("{a:>8}");
-        for t in 1..=5usize {
-            let v = rows
+/// The first path, in golden document order, where `fresh` departs from
+/// `golden`; members only `fresh` has are collected into `added`.
+fn first_diff(
+    golden: &JsonValue,
+    fresh: &JsonValue,
+    path: &str,
+    added: &mut Vec<String>,
+) -> Option<String> {
+    let member =
+        |key: &str| if path.is_empty() { key.to_string() } else { format!("{path}.{key}") };
+    match (golden, fresh) {
+        (JsonValue::Obj(want), JsonValue::Obj(got)) => {
+            added.extend(
+                got.iter().filter(|(k, _)| golden.get(k).is_none()).map(|(k, _)| member(k)),
+            );
+            want.iter().find_map(|(key, w)| match fresh.get(key) {
+                Some(g) => first_diff(w, g, &member(key), added),
+                None => Some(format!("{}: {} -> (missing)", member(key), encode_value(w))),
+            })
+        }
+        (JsonValue::Arr(want), JsonValue::Arr(got)) => {
+            let row = want
                 .iter()
-                .find(|r| r.adders == a && r.tiles == Some(t))
-                .map(|r| r.madds_per_sec)
-                .unwrap_or(0.0);
-            print!(" {v:>9.1}");
+                .zip(got)
+                .enumerate()
+                .find_map(|(i, (w, g))| first_diff(w, g, &format!("{path}[{i}]"), added));
+            row.or_else(|| {
+                (want.len() != got.len())
+                    .then(|| format!("{path}: {} rows -> {} rows", want.len(), got.len()))
+            })
         }
-        let sw = rows
-            .iter()
-            .find(|r| r.adders == a && r.tiles.is_none())
-            .map(|r| r.madds_per_sec)
-            .unwrap_or(0.0);
-        println!(" {sw:>9.1}");
-    }
-}
-
-fn print_table3(rows: &[exp::Table3Row]) {
-    hdr("Table III: FPGA utilization (microbenchmark)");
-    println!(
-        "{:<10} {:>5} {:>5} {:>7} {:>7} {:>7} {:>5} {:>7}",
-        "board", "tiles", "ins", "MHz", "ALM", "Reg", "BRAM", "%chip"
-    );
-    for r in rows {
-        println!(
-            "{:<10} {:>5} {:>5} {:>7.0} {:>7} {:>7} {:>5} {:>6.0}%",
-            r.board, r.tiles, r.insts, r.mhz, r.alm, r.reg, r.bram, r.chip_pct
-        );
-    }
-}
-
-fn print_fig14(rows: &[exp::Fig14Row]) {
-    hdr("Fig. 14: ALM utilization by sub-block (%)");
-    println!(
-        "{:<10} {:>7} {:>9} {:>9} {:>8} {:>6}",
-        "config", "tiles", "par-for", "taskctrl", "mem-arb", "misc"
-    );
-    for r in rows {
-        println!(
-            "{:<10} {:>6.1}% {:>8.1}% {:>8.1}% {:>7.1}% {:>5.1}%",
-            r.config, r.tiles_pct, r.parallel_for_pct, r.task_ctrl_pct, r.mem_arb_pct, r.misc_pct
-        );
-    }
-}
-
-fn print_fig15(rows: &[exp::Fig15Row]) {
-    hdr("Fig. 15: performance scaling with tiles (normalized)");
-    println!("{:<12} {:>9} {:>9} {:>9} {:>9}", "bench", "1 tile", "2 tiles", "4 tiles", "8 tiles");
-    let mut names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
-    names.dedup();
-    for n in names {
-        print!("{n:<12}");
-        for t in [1usize, 2, 4, 8] {
-            let v =
-                rows.iter().find(|r| r.name == n && r.tiles == t).map(|r| r.speedup).unwrap_or(0.0);
-            print!(" {v:>8.2}x");
-        }
-        println!();
-    }
-}
-
-fn print_fig16(rows: &[exp::Fig16Row]) {
-    hdr("Fig. 16: performance vs Intel i7 (gain > 1 means FPGA faster)");
-    println!("{:<12} {:>10} {:>10} {:>10} {:>8}", "bench", "board", "fpga ms", "i7 ms", "gain");
-    for r in rows {
-        println!(
-            "{:<12} {:>10} {:>10.3} {:>10.3} {:>7.2}x",
-            r.name, r.board, r.fpga_ms, r.i7_ms, r.gain
-        );
-    }
-}
-
-fn print_table4(rows: &[exp::Table4Row]) {
-    hdr("Table IV: resources & power (Cyclone V)");
-    println!(
-        "{:<12} {:>5} {:>6} {:>7} {:>7} {:>5} {:>8}",
-        "bench", "tiles", "MHz", "ALMs", "Regs", "BRAM", "Power(W)"
-    );
-    for r in rows {
-        println!(
-            "{:<12} {:>5} {:>6.0} {:>7} {:>7} {:>5} {:>8.3}",
-            r.name, r.tiles, r.mhz, r.alms, r.regs, r.brams, r.power_w
-        );
-    }
-}
-
-fn print_fig17(rows: &[exp::Fig17Row]) {
-    hdr("Fig. 17: performance/watt vs Intel i7");
-    println!("{:<12} {:>10} {:>10}", "bench", "board", "gain");
-    for r in rows {
-        println!("{:<12} {:>10} {:>9.1}x", r.name, r.board, r.perf_per_watt_gain);
-    }
-}
-
-fn print_grain(rows: &[exp::GrainAblationRow]) {
-    hdr("Ablation: cilk_for grainsize on the i7 baseline");
-    println!("{:<12} {:>10} {:>11} {:>9}", "bench", "fine ms", "coarse ms", "speedup");
-    for r in rows {
-        println!(
-            "{:<12} {:>10.3} {:>11.3} {:>8.1}x",
-            r.name, r.fine_ms, r.coarse_ms, r.coarsening_speedup
-        );
-    }
-}
-
-fn print_mem(rows: &[exp::MemAblationRow]) {
-    hdr("Ablation: cache miss parallelism (SAXPY, 4 tiles)");
-    println!("{:>6} {:>11} {:>5} {:>10} {:>9}", "MSHRs", "issue width", "L2", "cycles", "speedup");
-    for r in rows {
-        println!(
-            "{:>6} {:>11} {:>5} {:>10} {:>8.2}x",
-            r.mshrs,
-            r.issue_width,
-            if r.l2 { "yes" } else { "no" },
-            r.cycles,
-            r.speedup
-        );
-    }
-}
-
-fn print_elision(rows: &[exp::ElisionAblationRow]) {
-    hdr("Ablation: static task elision (scale microbenchmark)");
-    println!("{:<9} {:>10} {:>8} {:>11}", "variant", "cycles", "ALMs", "task units");
-    for r in rows {
-        println!("{:<9} {:>10} {:>8} {:>11}", r.variant, r.cycles, r.alms, r.task_units);
-    }
-}
-
-fn print_table5(rows: &[exp::Table5Row]) {
-    hdr("Table V: Intel HLS vs TAPAS (Cyclone V)");
-    println!(
-        "{:<12} {:<10} {:>6} {:>7} {:>7} {:>5} {:>9}",
-        "bench", "tool", "MHz", "ALMs", "Reg", "BRAM", "runtime"
-    );
-    for r in rows {
-        println!(
-            "{:<12} {:<10} {:>6.0} {:>7} {:>7} {:>5} {:>7.2}ms",
-            r.name, r.tool, r.mhz, r.alms, r.regs, r.brams, r.runtime_ms
-        );
+        _ => (golden != fresh)
+            .then(|| format!("{path}: {} -> {}", encode_value(golden), encode_value(fresh))),
     }
 }

@@ -1,24 +1,30 @@
-//! Unified experiment-runner API on top of the sweep executor.
+//! The experiment registry: every `reproduce` subcommand on top of the
+//! sweep executor.
 //!
-//! Every first-class `reproduce` subcommand that can emit machine-readable
-//! results is an [`Experiment`]: a name, the JSON schema version it
-//! writes, a *cell decomposition* (independent deterministic units of
-//! work, one [`tapas_exec::Cell`] each) and an *assembler* folding the
+//! An [`Experiment`] is a table or figure of the paper, or a harness
+//! experiment: a name, a *cell decomposition* (independent deterministic
+//! units of work, one [`tapas_exec::Cell`] each) and a *fold* turning the
 //! executor's per-cell records back into an [`ExperimentReport`] — the
-//! rendered text table, the JSON dump, and an optional failure message.
+//! rendered text, the JSON dump, and an optional failure message.
 //!
 //! The split is what buys fault tolerance for free: the executor owns
 //! scheduling, panic isolation, watchdog timeouts, retries and the
 //! checkpoint journal, while each experiment only declares *what* its
-//! cells are and *how* to fold their payloads. A serial policy
-//! ([`Experiment::run`]) reproduces the pre-executor behavior exactly;
-//! `reproduce` hands the same cells a parallel policy and a journal.
+//! cells are and *how* its rows render. Every cell returns its rows
+//! already encoded as a [`JsonValue`]; the journal stores that value and
+//! the fold decodes typed rows from it, so a fresh run and a resumed run
+//! fold the same bytes. `all` is one sweep over its sections' cells, and
+//! each section folds its own slice of the records.
 
-use crate::json::{FromJson, JsonValue, ToJson};
-use crate::{experiments as exp, perf};
+use crate::experiments as exp;
+use crate::json::{self, FromJson, JsonValue, ToJson};
 use std::fmt::Write as _;
 use tapas_exec as exec;
-use tapas_workloads::suite_small;
+use tapas_workloads::{suite_eval, suite_small, BuiltWorkload};
+
+/// Fixed seed of the differential, chaos and fuzzsim campaigns, shared
+/// with `tests/differential.rs`.
+pub const SWEEP_SEED: u64 = 0x7A9A_5CAF;
 
 /// What one experiment run produced.
 pub struct ExperimentReport {
@@ -32,114 +38,61 @@ pub struct ExperimentReport {
     pub failure: Option<String>,
 }
 
-/// The typed payload of one executor cell. Every experiment's cells
-/// produce a variant of this one enum, so a single journal [`codec`]
-/// covers the whole registry and a checkpoint file is self-describing
-/// (`{"kind":"…","data":…}`).
-#[derive(Debug, Clone)]
-pub enum CellPayload {
-    /// A `profile/<bench>` cell: one benchmark's cycle attribution.
-    Profile(exp::ProfileRow),
-    /// A `faults/<bench>` cell: one benchmark's whole scenario matrix
-    /// (the fault-free baseline is amortized across the scenarios, so
-    /// the benchmark is the smallest independent cell).
-    Faults(Vec<exp::FaultRow>),
-    /// A `stress/<bench>/<ntasks>` cell.
-    Stress(exp::StressRow),
-    /// A `tune/<bench>` cell: one benchmark's variant matrix (the
-    /// speedup column normalizes against the benchmark's own seed row).
-    Tune(Vec<exp::TuneRow>),
-    /// An `analyze/<bench>` cell.
-    Analyze(exp::AnalyzeRow),
-    /// A `bench/row/<bench>` or `bench/spawn/…` throughput cell.
-    Bench(perf::BenchRow),
-    /// A `bench/sweep/<which>` verification-sweep timing cell.
-    Sweep(perf::SweepTiming),
-    /// The `bench/shard` serial-vs-sharded timing cell.
-    Shard(perf::ShardTiming),
-    /// A `differential/<bench>` seeded config-sweep cell.
-    Differential(exp::DifferentialRow),
-    /// A `chaos/<bench>` kill-and-resume snapshot-identity cell.
-    Chaos(exp::ChaosRow),
-    /// A `fuzzsim/gen/<seed>` generated-traffic fuzzing cell.
-    Fuzz(exp::FuzzRow),
+impl ExperimentReport {
+    /// Decode the `rows` member of the JSON dump as typed rows.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the dump has no `rows` array or a row does not decode.
+    pub fn rows<R: FromJson>(&self) -> Result<Vec<R>, String> {
+        let doc = json::parse(&self.json)?;
+        Vec::from_json(doc.get("rows").ok_or("the dump has no `rows`")?)
+    }
 }
 
-impl CellPayload {
-    /// The journal tag for this variant.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CellPayload::Profile(_) => "profile",
-            CellPayload::Faults(_) => "faults",
-            CellPayload::Stress(_) => "stress",
-            CellPayload::Tune(_) => "tune",
-            CellPayload::Analyze(_) => "analyze",
-            CellPayload::Bench(_) => "bench",
-            CellPayload::Sweep(_) => "sweep",
-            CellPayload::Shard(_) => "shard",
-            CellPayload::Differential(_) => "differential",
-            CellPayload::Chaos(_) => "chaos",
-            CellPayload::Fuzz(_) => "fuzz",
+/// The checkpoint-journal codec shared by every experiment: a cell's
+/// payload is its rows' JSON value, journaled as is.
+pub fn codec() -> exec::Codec<JsonValue> {
+    exec::Codec { encode: encode_value, decode: |v| Ok(v.clone()) }
+}
+
+/// Encode a parsed JSON value in the form [`ToJson`] writes it, so
+/// `encode_value(&parse(x.to_json())) == x.to_json()`.
+pub fn encode_value(v: &JsonValue) -> String {
+    let mut out = String::new();
+    write_value(v, &mut out);
+    out
+}
+
+fn write_value(v: &JsonValue, out: &mut String) {
+    match v {
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => b.write_json(out),
+        JsonValue::Num(n) => n.write_json(out),
+        JsonValue::Str(s) => s.write_json(out),
+        JsonValue::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_value(item, out);
+            }
+            out.push(']');
+        }
+        JsonValue::Obj(members) => {
+            out.push('{');
+            for (i, (key, item)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                key.write_json(out);
+                out.push(':');
+                write_value(item, out);
+            }
+            out.push('}');
         }
     }
-}
-
-impl ToJson for CellPayload {
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"kind\":");
-        self.kind().write_json(out);
-        out.push_str(",\"data\":");
-        match self {
-            CellPayload::Profile(r) => r.write_json(out),
-            CellPayload::Faults(r) => r.write_json(out),
-            CellPayload::Stress(r) => r.write_json(out),
-            CellPayload::Tune(r) => r.write_json(out),
-            CellPayload::Analyze(r) => r.write_json(out),
-            CellPayload::Bench(r) => r.write_json(out),
-            CellPayload::Sweep(r) => r.write_json(out),
-            CellPayload::Shard(r) => r.write_json(out),
-            CellPayload::Differential(r) => r.write_json(out),
-            CellPayload::Chaos(r) => r.write_json(out),
-            CellPayload::Fuzz(r) => r.write_json(out),
-        }
-        out.push('}');
-    }
-}
-
-/// Decode a journaled cell payload (inverse of the [`ToJson`] impl).
-///
-/// # Errors
-///
-/// Fails on a missing/unknown `kind` tag or a `data` value that does not
-/// decode as that variant's row type.
-pub fn decode_cell_payload(v: &JsonValue) -> Result<CellPayload, String> {
-    let kind = v.get("kind").and_then(JsonValue::as_str).ok_or("payload missing `kind`")?;
-    let data = v.get("data").ok_or("payload missing `data`")?;
-    match kind {
-        "profile" => FromJson::from_json(data).map(CellPayload::Profile),
-        "faults" => FromJson::from_json(data).map(CellPayload::Faults),
-        "stress" => FromJson::from_json(data).map(CellPayload::Stress),
-        "tune" => FromJson::from_json(data).map(CellPayload::Tune),
-        "analyze" => FromJson::from_json(data).map(CellPayload::Analyze),
-        "bench" => FromJson::from_json(data).map(CellPayload::Bench),
-        "sweep" => FromJson::from_json(data).map(CellPayload::Sweep),
-        "shard" => FromJson::from_json(data).map(CellPayload::Shard),
-        "differential" => FromJson::from_json(data).map(CellPayload::Differential),
-        "chaos" => FromJson::from_json(data).map(CellPayload::Chaos),
-        "fuzz" => FromJson::from_json(data).map(CellPayload::Fuzz),
-        other => Err(format!("unknown payload kind `{other}`")),
-    }
-    .map_err(|e| format!("{kind} payload: {e}"))
-}
-
-fn encode_cell_payload(p: &CellPayload) -> String {
-    p.to_json()
-}
-
-/// The checkpoint-journal codec shared by every experiment in the
-/// registry.
-pub fn codec() -> exec::Codec<CellPayload> {
-    exec::Codec { encode: encode_cell_payload, decode: decode_cell_payload }
 }
 
 /// Runtime knobs a `reproduce` invocation can thread into an
@@ -162,34 +115,40 @@ pub const FUZZ_CONFIGS_PER_SEED: usize = 4;
 
 /// A named, JSON-emitting experiment, decomposed into executor cells.
 pub struct Experiment {
-    /// Subcommand name (`reproduce <name>`).
+    /// Subcommand name (`reproduce <name>`), and the experiment's key in
+    /// the `all` document.
     pub name: &'static str,
     /// One-line description for usage text and `--list`.
     pub summary: &'static str,
-    /// Schema version of the JSON this experiment writes.
-    pub schema_version: u64,
     /// Build the experiment's cell list (cheap: closures only, no
     /// simulation happens until the executor runs them).
-    pub cells: fn(&RunOpts) -> Vec<exec::Cell<CellPayload>>,
+    pub cells: fn(&RunOpts) -> Vec<exec::Cell<JsonValue>>,
     /// Fold the executor's records (spec order, failures included with
-    /// `payload: None`) back into the report.
-    pub assemble: fn(&[exec::CellRecord<CellPayload>]) -> ExperimentReport,
+    /// `payload: None`).
+    fold: fn(&[exec::CellRecord<JsonValue>]) -> Fold,
+}
+
+/// A folded experiment: its text, the members of its JSON document after
+/// `schema_version`, and the failure its rows surfaced.
+struct Fold {
+    text: String,
+    members: Vec<(&'static str, String)>,
+    failure: Option<String>,
 }
 
 impl Experiment {
     /// Run the experiment serially to completion — one worker, no
-    /// watchdog, no retry: cells run inline exactly as the pre-executor
-    /// harness did.
+    /// watchdog, no retry: the same cells the CLI runs, inline.
     pub fn run(&self) -> ExperimentReport {
         self.run_sharded(&exec::Policy::serial(), None).0
     }
 
-    /// [`Experiment::run_sharded`] with default [`RunOpts`].
+    /// [`Experiment::run_sharded_with`] with default [`RunOpts`].
     pub fn run_sharded(
         &self,
         policy: &exec::Policy,
-        journal: Option<&exec::Journal<CellPayload>>,
-    ) -> (ExperimentReport, exec::SweepReport<CellPayload>) {
+        journal: Option<&exec::Journal<JsonValue>>,
+    ) -> (ExperimentReport, exec::SweepReport<JsonValue>) {
         self.run_sharded_with(&RunOpts::default(), policy, journal)
     }
 
@@ -202,11 +161,11 @@ impl Experiment {
         &self,
         opts: &RunOpts,
         policy: &exec::Policy,
-        journal: Option<&exec::Journal<CellPayload>>,
-    ) -> (ExperimentReport, exec::SweepReport<CellPayload>) {
+        journal: Option<&exec::Journal<JsonValue>>,
+    ) -> (ExperimentReport, exec::SweepReport<JsonValue>) {
         let cells = (self.cells)(opts);
         let sweep = exec::run_sweep(&cells, policy, journal);
-        let mut report = (self.assemble)(&sweep.records);
+        let mut report = self.report(&sweep.records);
         if !sweep.complete_ok() {
             let mut lines: Vec<String> = sweep
                 .failures()
@@ -224,73 +183,306 @@ impl Experiment {
         }
         (report, sweep)
     }
+
+    /// Fold `records` into the report: text, `{schema_version, …}` JSON
+    /// and the failure the rows surfaced.
+    fn report(&self, records: &[exec::CellRecord<JsonValue>]) -> ExperimentReport {
+        let Fold { text, members, failure } = (self.fold)(records);
+        let mut json = format!("{{\"schema_version\":{}", exp::JSON_SCHEMA_VERSION);
+        for (key, value) in members {
+            json.push(',');
+            key.write_json(&mut json);
+            json.push(':');
+            json.push_str(&value);
+        }
+        json.push('}');
+        ExperimentReport { text, json, failure }
+    }
 }
 
-/// All experiments the unified runner knows about.
+/// A row type one experiment folds its cells into, with its renderer.
+trait Rows: ToJson + FromJson {
+    /// Render the folded rows as the experiment's text.
+    fn render(rows: &[Self], out: &mut String);
+
+    /// Post-process the folded rows, e.g. normalize against a baseline
+    /// row that ran in another cell.
+    fn finish(_rows: &mut [Self]) {}
+
+    /// The failure the rows surface, if any.
+    fn failure(_rows: &[Self]) -> Option<String> {
+        None
+    }
+
+    /// The rows' value in the JSON document.
+    fn encode(rows: Vec<Self>) -> String {
+        rows.to_json()
+    }
+}
+
+/// The one fold: decode every succeeded cell's rows in spec order, then
+/// render and encode them. A payload that does not decode fails the
+/// experiment rather than dropping its rows silently.
+fn fold<R: Rows>(records: &[exec::CellRecord<JsonValue>]) -> Fold {
+    let mut rows = Vec::new();
+    let mut failures = Vec::new();
+    for record in records {
+        let Some(payload) = &record.payload else { continue };
+        match Vec::<R>::from_json(payload) {
+            Ok(mut cell_rows) => rows.append(&mut cell_rows),
+            Err(e) => failures.push(format!("{}: payload does not decode: {e}", record.id)),
+        }
+    }
+    R::finish(&mut rows);
+    let mut text = String::new();
+    R::render(&rows, &mut text);
+    failures.splice(0..0, R::failure(&rows));
+    let failure = (!failures.is_empty()).then(|| failures.join("; "));
+    Fold { text, members: vec![("rows", R::encode(rows))], failure }
+}
+
+/// The experiments `all` runs, in print order; each name is also its key
+/// in the `all` document.
+const ALL: &[&str] = &[
+    "table2",
+    "spawn",
+    "fig13",
+    "table3",
+    "fig14",
+    "fig15",
+    "fig16",
+    "table4",
+    "fig17",
+    "table5",
+    "grain_ablation",
+    "mem_ablation",
+    "elision_ablation",
+    "profile",
+    "faults",
+    "lint",
+];
+
+fn part(name: &str) -> &'static Experiment {
+    find(name).expect("`all` names registered experiments")
+}
+
+/// The experiment owning a cell: the first segment of its id.
+fn owner(id: &str) -> &str {
+    id.split('/').next().unwrap_or(id)
+}
+
+fn all_cells(opts: &RunOpts) -> Vec<exec::Cell<JsonValue>> {
+    ALL.iter().flat_map(|name| (part(name).cells)(opts)).collect()
+}
+
+/// Fold `all`: the records are in spec order, so each section's are one
+/// contiguous run, folded by the section itself.
+fn fold_all(records: &[exec::CellRecord<JsonValue>]) -> Fold {
+    let mut all = Fold { text: String::new(), members: Vec::new(), failure: None };
+    let mut failures = Vec::new();
+    for &name in ALL {
+        let start = records.iter().position(|r| owner(&r.id) == name).unwrap_or(records.len());
+        let len = records[start..].iter().take_while(|r| owner(&r.id) == name).count();
+        let section = (part(name).fold)(&records[start..start + len]);
+        all.text.push_str(&section.text);
+        all.members.extend(section.members.into_iter().map(|(_, value)| (name, value)));
+        failures.extend(section.failure.map(|why| format!("{name}: {why}")));
+    }
+    all.failure = (!failures.is_empty()).then(|| failures.join("; "));
+    all
+}
+
+/// Wrap a cell body's rows as the cell's JSON payload.
+fn payload<R: ToJson>(rows: Vec<R>) -> Result<JsonValue, String> {
+    json::parse(&rows.to_json())
+}
+
+/// A cell whose body returns typed rows.
+fn cell<R: ToJson>(
+    id: impl Into<String>,
+    run: impl Fn() -> Result<Vec<R>, String> + Send + Sync + 'static,
+) -> exec::Cell<JsonValue> {
+    exec::Cell::new(id, move || payload(run()?))
+}
+
+/// One cell per program, named `<experiment>/<program>`.
+fn per_program<R: ToJson + 'static>(
+    name: &str,
+    programs: Vec<BuiltWorkload>,
+    rows: fn(&BuiltWorkload) -> Vec<R>,
+) -> Vec<exec::Cell<JsonValue>> {
+    programs
+        .into_iter()
+        .map(|wl| cell(format!("{name}/{}", wl.name), move || Ok(rows(&wl))))
+        .collect()
+}
+
+/// All experiments the runner knows about.
 pub fn registry() -> &'static [Experiment] {
     const REGISTRY: &[Experiment] = &[
         Experiment {
+            name: "table2",
+            summary: "Table II: benchmark properties",
+            cells: |_| vec![cell("table2", || Ok(exp::table2()))],
+            fold: fold::<exp::Table2Row>,
+        },
+        Experiment {
+            name: "spawn",
+            summary: "§V-A: task spawn latency and rate",
+            cells: |_| vec![cell("spawn", || Ok(vec![exp::spawn_latency()]))],
+            fold: fold::<exp::SpawnLatencyResult>,
+        },
+        Experiment {
+            name: "fig13",
+            summary: "Fig. 13: spawn-rate scaling with tiles vs software",
+            cells: |_| {
+                exp::FIG13_ADDERS
+                    .into_iter()
+                    .map(|adders| {
+                        cell(format!("fig13/{adders}"), move || Ok(exp::fig13_rows(adders)))
+                    })
+                    .collect()
+            },
+            fold: fold::<exp::Fig13Row>,
+        },
+        Experiment {
+            name: "table3",
+            summary: "Table III: FPGA utilization of the microbenchmark",
+            cells: |_| vec![cell("table3", || Ok(exp::table3()))],
+            fold: fold::<exp::Table3Row>,
+        },
+        Experiment {
+            name: "fig14",
+            summary: "Fig. 14: ALM utilization by sub-block",
+            cells: |_| vec![cell("fig14", || Ok(exp::fig14()))],
+            fold: fold::<exp::Fig14Row>,
+        },
+        Experiment {
+            name: "fig15",
+            summary: "Fig. 15: performance scaling with tiles",
+            cells: |_| per_program("fig15", suite_eval(), exp::fig15_rows),
+            fold: fold::<exp::Fig15Row>,
+        },
+        Experiment {
+            name: "fig16",
+            summary: "Fig. 16: performance vs an Intel i7",
+            cells: |_| per_program("fig16", suite_eval(), exp::fig16_rows),
+            fold: fold::<exp::Fig16Row>,
+        },
+        Experiment {
+            name: "table4",
+            summary: "Table IV: resources and power on the Cyclone V",
+            cells: |_| vec![cell("table4", || Ok(exp::table4()))],
+            fold: fold::<exp::Table4Row>,
+        },
+        Experiment {
+            name: "fig17",
+            summary: "Fig. 17: performance/watt vs an Intel i7",
+            cells: |_| per_program("fig17", suite_eval(), exp::fig17_rows),
+            fold: fold::<exp::Fig17Row>,
+        },
+        Experiment {
+            name: "table5",
+            summary: "Table V: Intel HLS vs TAPAS",
+            cells: |_| {
+                exp::table5_cases()
+                    .into_iter()
+                    .map(|(wl, words, streams)| {
+                        let id = format!("table5/{}", wl.name);
+                        cell(id, move || Ok(exp::table5_rows(&wl, words, streams)))
+                    })
+                    .collect()
+            },
+            fold: fold::<exp::Table5Row>,
+        },
+        Experiment {
+            name: "grain_ablation",
+            summary: "ablation: cilk_for grainsize on the i7 baseline",
+            cells: |_| vec![cell("grain_ablation", || Ok(exp::grain_ablation()))],
+            fold: fold::<exp::GrainAblationRow>,
+        },
+        Experiment {
+            name: "mem_ablation",
+            summary: "ablation: cache miss parallelism (MSHRs, issue width, L2)",
+            cells: |_| {
+                exp::MEM_ABLATION_POINTS
+                    .into_iter()
+                    .map(|(mshrs, width, l2)| {
+                        let id =
+                            format!("mem_ablation/{mshrs}x{width}{}", if l2 { "+l2" } else { "" });
+                        cell(id, move || Ok(vec![exp::mem_ablation_row(mshrs, width, l2)]))
+                    })
+                    .collect()
+            },
+            fold: fold::<exp::MemAblationRow>,
+        },
+        Experiment {
+            name: "elision_ablation",
+            summary: "ablation: static task elision",
+            cells: |_| vec![cell("elision_ablation", || Ok(exp::elision_ablation()))],
+            fold: fold::<exp::ElisionAblationRow>,
+        },
+        Experiment {
+            name: "lint",
+            summary: "static race detection over the suite and racy variants",
+            cells: |_| vec![cell("lint", || Ok(exp::lint_rows()))],
+            fold: fold::<exp::LintRow>,
+        },
+        Experiment {
             name: "profile",
             summary: "cycle attribution: what bounds each benchmark",
-            schema_version: exp::JSON_SCHEMA_VERSION,
-            cells: profile_cells,
-            assemble: assemble_profile,
+            cells: |_| per_program("profile", suite_small(), |wl| vec![exp::profile_row(wl)]),
+            fold: fold::<exp::ProfileRow>,
         },
         Experiment {
             name: "faults",
             summary: "fault-injection matrix (masked or detected, never silent)",
-            schema_version: exp::JSON_SCHEMA_VERSION,
-            cells: faults_cells,
-            assemble: assemble_faults,
+            cells: |_| per_program("faults", suite_small(), exp::fault_rows_for),
+            fold: fold::<exp::FaultRow>,
         },
         Experiment {
             name: "stress",
             summary: "undersized-queue stress matrix with admission control",
-            schema_version: exp::JSON_SCHEMA_VERSION,
             cells: stress_cells,
-            assemble: assemble_stress,
+            fold: fold::<exp::StressRow>,
         },
         Experiment {
             name: "tune",
             summary: "opt-in work stealing + banked L1 tuning matrix",
-            schema_version: exp::JSON_SCHEMA_VERSION,
-            cells: tune_cells,
-            assemble: assemble_tune,
+            cells: |_| per_program("tune", exp::tune_programs(), |wl| exp::tune_rows(wl, 4)),
+            fold: fold::<exp::TuneRow>,
         },
         Experiment {
             name: "analyze",
             summary: "static work/span bounds vs measured counters",
-            schema_version: exp::JSON_SCHEMA_VERSION,
-            cells: analyze_cells,
-            assemble: assemble_analyze,
-        },
-        Experiment {
-            name: "bench",
-            summary: "event-driven vs stepped engine throughput + sweep wall time",
-            schema_version: exp::JSON_SCHEMA_VERSION,
-            cells: bench_cells,
-            assemble: assemble_bench,
+            cells: |_| {
+                per_program("analyze", exp::analyze_programs(), |wl| vec![exp::analyze_row(wl)])
+            },
+            fold: fold::<exp::AnalyzeRow>,
         },
         Experiment {
             name: "differential",
             summary: "seeded per-workload config sweeps vs the golden model",
-            schema_version: exp::JSON_SCHEMA_VERSION,
             cells: differential_cells,
-            assemble: assemble_differential,
+            fold: fold::<exp::DifferentialRow>,
         },
         Experiment {
             name: "chaos",
             summary: "kill-and-resume snapshot identity under seeded configs",
-            schema_version: exp::JSON_SCHEMA_VERSION,
             cells: chaos_cells,
-            assemble: assemble_chaos,
+            fold: fold::<exp::ChaosRow>,
         },
         Experiment {
             name: "fuzzsim",
             summary: "generated task-graph traffic vs the golden model (--seeds N)",
-            schema_version: exp::JSON_SCHEMA_VERSION,
             cells: fuzzsim_cells,
-            assemble: assemble_fuzz,
+            fold: fold::<exp::FuzzRow>,
+        },
+        Experiment {
+            name: "all",
+            summary: "every paper section, profile, faults and lint as one sweep",
+            cells: all_cells,
+            fold: fold_all,
         },
     ];
     REGISTRY
@@ -301,112 +493,38 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
     registry().iter().find(|e| e.name == name)
 }
 
-fn profile_cells(_opts: &RunOpts) -> Vec<exec::Cell<CellPayload>> {
-    suite_small()
-        .into_iter()
-        .map(|wl| {
-            let id = format!("profile/{}", wl.name);
-            exec::Cell::new(id, move || Ok(CellPayload::Profile(exp::profile_row(&wl))))
-        })
-        .collect()
-}
-
-fn faults_cells(_opts: &RunOpts) -> Vec<exec::Cell<CellPayload>> {
-    suite_small()
-        .into_iter()
-        .map(|wl| {
-            let id = format!("faults/{}", wl.name);
-            exec::Cell::new(id, move || Ok(CellPayload::Faults(exp::fault_rows_for(&wl))))
-        })
-        .collect()
-}
-
-fn stress_cells(_opts: &RunOpts) -> Vec<exec::Cell<CellPayload>> {
+fn stress_cells(_opts: &RunOpts) -> Vec<exec::Cell<JsonValue>> {
     let mut cells = Vec::new();
     for wl in exp::stress_programs() {
         for &ntasks in exp::STRESS_QUEUE_SIZES {
             let wl = wl.clone();
             let id = format!("stress/{}/{}", wl.name, ntasks);
-            cells.push(exec::Cell::new(id, move || {
-                Ok(CellPayload::Stress(exp::stress_row(&wl, ntasks)))
-            }));
+            cells.push(cell(id, move || Ok(vec![exp::stress_row(&wl, ntasks)])));
         }
     }
     cells
 }
 
-fn tune_cells(_opts: &RunOpts) -> Vec<exec::Cell<CellPayload>> {
-    exp::tune_programs()
-        .into_iter()
-        .map(|wl| {
-            let id = format!("tune/{}", wl.name);
-            exec::Cell::new(id, move || {
-                Ok(CellPayload::Tune(exp::tune_matrix_for(vec![wl.clone()], 4)))
-            })
-        })
-        .collect()
-}
-
-fn analyze_cells(_opts: &RunOpts) -> Vec<exec::Cell<CellPayload>> {
-    exp::analyze_programs()
-        .into_iter()
-        .map(|wl| {
-            let id = format!("analyze/{}", wl.name);
-            exec::Cell::new(id, move || {
-                exp::analyze_report_for(vec![wl.clone()])
-                    .pop()
-                    .map(CellPayload::Analyze)
-                    .ok_or_else(|| "analyze produced no row".to_string())
-            })
-        })
-        .collect()
-}
-
-fn bench_cells(_opts: &RunOpts) -> Vec<exec::Cell<CellPayload>> {
-    let mut cells = Vec::new();
-    for (wl, tiles, spawn_cost) in perf::paper_suite_cells() {
-        let id = format!("bench/row/{}", wl.name);
-        cells.push(exec::Cell::new(id, move || {
-            Ok(CellPayload::Bench(perf::bench_cell(&wl, tiles, spawn_cost, false)))
-        }));
-    }
-    for (wl, tiles, spawn_cost) in perf::spawn_bound_cells() {
-        let id = format!("bench/spawn/t{tiles}/c{spawn_cost}");
-        cells.push(exec::Cell::new(id, move || {
-            Ok(CellPayload::Bench(perf::bench_cell(&wl, tiles, spawn_cost, true)))
-        }));
-    }
-    cells.push(exec::Cell::new("bench/sweep/tune", || perf::tune_timing().map(CellPayload::Sweep)));
-    cells.push(exec::Cell::new("bench/sweep/differential", || {
-        perf::differential_timing().map(CellPayload::Sweep)
-    }));
-    cells.push(exec::Cell::new("bench/sweep/boundary", || {
-        perf::boundary_timing().map(CellPayload::Sweep)
-    }));
-    cells.push(exec::Cell::new("bench/shard", || perf::shard_timing().map(CellPayload::Shard)));
-    cells
-}
-
-fn differential_cells(_opts: &RunOpts) -> Vec<exec::Cell<CellPayload>> {
-    tapas_integration::differential_cells(perf::SWEEP_SEED, 3)
+fn differential_cells(_opts: &RunOpts) -> Vec<exec::Cell<JsonValue>> {
+    tapas_integration::differential_cells(SWEEP_SEED, 3)
         .into_iter()
         .map(|c| {
             let id = format!("differential/{}", c.workload);
-            exec::Cell::new(id, move || {
+            cell(id, move || {
                 let checks = tapas_integration::run_differential_cell(&c)?;
-                Ok(CellPayload::Differential(exp::DifferentialRow {
+                Ok(vec![exp::DifferentialRow {
                     workload: c.workload.clone(),
                     seed: format!("{:#x}", c.seed),
                     samples: c.samples as u64,
                     checks: checks as u64,
-                }))
+                }])
             })
         })
         .collect()
 }
 
-fn chaos_cells(_opts: &RunOpts) -> Vec<exec::Cell<CellPayload>> {
-    tapas_integration::chaos_cells(perf::SWEEP_SEED, 2)
+fn chaos_cells(_opts: &RunOpts) -> Vec<exec::Cell<JsonValue>> {
+    tapas_integration::chaos_cells(SWEEP_SEED, 2)
         .into_iter()
         .map(|c| {
             let id = format!("chaos/{}", c.workload);
@@ -416,409 +534,495 @@ fn chaos_cells(_opts: &RunOpts) -> Vec<exec::Cell<CellPayload>> {
             exec::Cell::resumable(id, move |ctx: &exec::CellCtx| {
                 let spec = ctx.snapshot.as_ref().map(|s| (s.path.clone(), s.every));
                 let verified = tapas_integration::run_chaos_cell_with(&c, spec)?;
-                Ok(CellPayload::Chaos(exp::ChaosRow {
+                payload(vec![exp::ChaosRow {
                     workload: c.workload.clone(),
                     seed: format!("{:#x}", c.seed),
                     trials: c.trials as u64,
                     verified: verified as u64,
-                }))
+                }])
             })
         })
         .collect()
 }
 
-fn fuzzsim_cells(opts: &RunOpts) -> Vec<exec::Cell<CellPayload>> {
+fn fuzzsim_cells(opts: &RunOpts) -> Vec<exec::Cell<JsonValue>> {
     let seeds = opts.seeds.unwrap_or(FUZZ_DEFAULT_SEEDS);
-    tapas_integration::fuzz::fuzz_cells(perf::SWEEP_SEED, seeds, FUZZ_CONFIGS_PER_SEED)
+    tapas_integration::fuzz::fuzz_cells(SWEEP_SEED, seeds, FUZZ_CONFIGS_PER_SEED)
         .into_iter()
         .map(|c| {
             let id = format!("fuzzsim/gen/{:#x}", c.seed);
-            exec::Cell::new(id, move || {
+            cell(id, move || {
                 let report = tapas_integration::fuzz::run_fuzz_cell(&c)?;
-                Ok(CellPayload::Fuzz(exp::FuzzRow {
+                Ok(vec![exp::FuzzRow {
                     seed: format!("{:#x}", c.seed),
                     shape: report.shape,
                     configs: c.configs as u64,
                     checks: report.checks as u64,
-                }))
+                }])
             })
         })
         .collect()
-}
-
-fn assemble_profile(records: &[exec::CellRecord<CellPayload>]) -> ExperimentReport {
-    let rows: Vec<exp::ProfileRow> = records
-        .iter()
-        .filter_map(|r| match &r.payload {
-            Some(CellPayload::Profile(row)) => Some(row.clone()),
-            _ => None,
-        })
-        .collect();
-    let results = exp::ProfileResults { schema_version: exp::JSON_SCHEMA_VERSION, rows };
-    ExperimentReport { text: render_profile(&results.rows), json: results.to_json(), failure: None }
-}
-
-fn assemble_faults(records: &[exec::CellRecord<CellPayload>]) -> ExperimentReport {
-    let rows: Vec<exp::FaultRow> = records
-        .iter()
-        .filter_map(|r| match &r.payload {
-            Some(CellPayload::Faults(rows)) => Some(rows.clone()),
-            _ => None,
-        })
-        .flatten()
-        .collect();
-    let results = exp::FaultMatrixResults { schema_version: exp::JSON_SCHEMA_VERSION, rows };
-    let wrong = results.rows.iter().filter(|r| r.silently_wrong()).count();
-    ExperimentReport {
-        text: render_faults(&results.rows),
-        json: results.to_json(),
-        failure: (wrong > 0)
-            .then(|| format!("{wrong} run(s) completed with silently corrupted output")),
-    }
-}
-
-fn assemble_stress(records: &[exec::CellRecord<CellPayload>]) -> ExperimentReport {
-    let rows: Vec<exp::StressRow> = records
-        .iter()
-        .filter_map(|r| match &r.payload {
-            Some(CellPayload::Stress(row)) => Some(row.clone()),
-            _ => None,
-        })
-        .collect();
-    let results = exp::StressResults { schema_version: exp::JSON_SCHEMA_VERSION, rows };
-    ExperimentReport { text: render_stress(&results.rows), json: results.to_json(), failure: None }
-}
-
-fn assemble_tune(records: &[exec::CellRecord<CellPayload>]) -> ExperimentReport {
-    let rows: Vec<exp::TuneRow> = records
-        .iter()
-        .filter_map(|r| match &r.payload {
-            Some(CellPayload::Tune(rows)) => Some(rows.clone()),
-            _ => None,
-        })
-        .flatten()
-        .collect();
-    let results = exp::TuneResults { schema_version: exp::JSON_SCHEMA_VERSION, rows };
-    ExperimentReport { text: render_tune(&results.rows), json: results.to_json(), failure: None }
-}
-
-fn assemble_analyze(records: &[exec::CellRecord<CellPayload>]) -> ExperimentReport {
-    let rows: Vec<exp::AnalyzeRow> = records
-        .iter()
-        .filter_map(|r| match &r.payload {
-            Some(CellPayload::Analyze(row)) => Some(row.clone()),
-            _ => None,
-        })
-        .collect();
-    let results = exp::AnalyzeResults { schema_version: exp::JSON_SCHEMA_VERSION, rows };
-    ExperimentReport { text: render_analyze(&results.rows), json: results.to_json(), failure: None }
-}
-
-fn assemble_bench(records: &[exec::CellRecord<CellPayload>]) -> ExperimentReport {
-    let mut rows = Vec::new();
-    let mut sweeps = Vec::new();
-    let mut shard = None;
-    for r in records {
-        match &r.payload {
-            Some(CellPayload::Bench(row)) => rows.push(row.clone()),
-            Some(CellPayload::Sweep(t)) => sweeps.push(t.clone()),
-            Some(CellPayload::Shard(t)) => shard = Some(t.clone()),
-            _ => {}
-        }
-    }
-    let results = perf::assemble_bench(rows, &sweeps, shard.as_ref());
-    ExperimentReport { text: render_bench(&results), json: results.to_json(), failure: None }
-}
-
-fn assemble_differential(records: &[exec::CellRecord<CellPayload>]) -> ExperimentReport {
-    let rows: Vec<exp::DifferentialRow> = records
-        .iter()
-        .filter_map(|r| match &r.payload {
-            Some(CellPayload::Differential(row)) => Some(row.clone()),
-            _ => None,
-        })
-        .collect();
-    let results = exp::DifferentialResults { schema_version: exp::JSON_SCHEMA_VERSION, rows };
-    ExperimentReport {
-        text: render_differential(&results.rows),
-        json: results.to_json(),
-        failure: None,
-    }
-}
-
-fn assemble_chaos(records: &[exec::CellRecord<CellPayload>]) -> ExperimentReport {
-    let rows: Vec<exp::ChaosRow> = records
-        .iter()
-        .filter_map(|r| match &r.payload {
-            Some(CellPayload::Chaos(row)) => Some(row.clone()),
-            _ => None,
-        })
-        .collect();
-    let results = exp::ChaosResults { schema_version: exp::JSON_SCHEMA_VERSION, rows };
-    ExperimentReport { text: render_chaos(&results.rows), json: results.to_json(), failure: None }
-}
-
-fn assemble_fuzz(records: &[exec::CellRecord<CellPayload>]) -> ExperimentReport {
-    let rows: Vec<exp::FuzzRow> = records
-        .iter()
-        .filter_map(|r| match &r.payload {
-            Some(CellPayload::Fuzz(row)) => Some(row.clone()),
-            _ => None,
-        })
-        .collect();
-    let results = exp::FuzzResults { schema_version: exp::JSON_SCHEMA_VERSION, rows };
-    ExperimentReport { text: render_fuzz(&results.rows), json: results.to_json(), failure: None }
 }
 
 fn hdr(out: &mut String, title: &str) {
     let _ = writeln!(out, "\n=== {title} ===");
 }
 
-/// Render the cycle-attribution table.
-pub fn render_profile(rows: &[exp::ProfileRow]) -> String {
-    let mut out = String::new();
-    hdr(&mut out, "Cycle attribution: what bounds each benchmark");
-    let _ = writeln!(
-        out,
-        "{:<12} {:>5} {:>9} {:<14} {:>8} {:>7} {:>7} {:>8} {:<18}",
-        "bench",
-        "tiles",
-        "cycles",
-        "verdict",
-        "compute",
-        "mem",
-        "spawn",
-        "q-full",
-        "dominant stall"
-    );
-    for r in rows {
-        let q_full: u64 = r.unit_queues.iter().map(|u| u.full_cycles).sum();
+impl Rows for exp::Table2Row {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Table II: benchmark properties");
         let _ = writeln!(
             out,
-            "{:<12} {:>5} {:>9} {:<14} {:>7.0}% {:>6.0}% {:>6.0}% {:>8} {:<18}",
-            r.name,
-            r.tiles,
-            r.cycles,
-            r.class,
-            r.compute_frac * 100.0,
-            r.memory_frac * 100.0,
-            r.spawn_frac * 100.0,
-            q_full,
-            r.dominant
+            "{:<12} {:<26} {:>6} {:>6} {:>6}",
+            "name", "HLS challenge", "insts", "#mem", "tasks"
         );
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<12} {:<26} {:>6} {:>6} {:>6}",
+                r.name, r.challenge, r.per_task_insts, r.mem_ops, r.tasks
+            );
+        }
     }
-    out
 }
 
-/// Render the bounded-resource stress table.
-pub fn render_stress(rows: &[exp::StressRow]) -> String {
-    let mut out = String::new();
-    hdr(&mut out, "Bounded resources: undersized-queue stress matrix (output == golden)");
-    let _ = writeln!(
-        out,
-        "{:<12} {:>6} {:>10} {:>8} {:>8} {:>8}",
-        "bench", "ntasks", "cycles", "spills", "refills", "inline"
-    );
-    for r in rows {
+/// §V-A is one measurement: its value in the `all` document is the
+/// object itself, not a one-row array.
+impl Rows for exp::SpawnLatencyResult {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "§V-A: task spawn overhead");
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "min spawn latency: {} cycles (paper: ~10); sustained {:.1} M spawns/s @ {:.0} MHz (paper: 40M)",
+                r.min_latency_cycles,
+                r.spawns_per_sec / 1e6,
+                r.clock_mhz
+            );
+        }
+    }
+
+    fn encode(rows: Vec<Self>) -> String {
+        rows.first().map_or_else(|| "null".to_string(), ToJson::to_json)
+    }
+}
+
+impl Rows for exp::Fig13Row {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Fig. 13: spawn-rate scaling (Arria 10), Madds/s");
+        let _ = write!(out, "{:>8}", "adders");
+        for t in 1..=5 {
+            let _ = write!(out, " {:>9}", format!("{t} tile{}", if t > 1 { "s" } else { "" }));
+        }
+        let _ = writeln!(out, " {:>9}", "software");
+        let mut by_adders: Vec<u32> = rows.iter().map(|r| r.adders).collect();
+        by_adders.dedup();
+        for a in by_adders {
+            let _ = write!(out, "{a:>8}");
+            for t in 1..=5usize {
+                let v = rows
+                    .iter()
+                    .find(|r| r.adders == a && r.tiles == Some(t))
+                    .map(|r| r.madds_per_sec)
+                    .unwrap_or(0.0);
+                let _ = write!(out, " {v:>9.1}");
+            }
+            let sw = rows
+                .iter()
+                .find(|r| r.adders == a && r.tiles.is_none())
+                .map(|r| r.madds_per_sec)
+                .unwrap_or(0.0);
+            let _ = writeln!(out, " {sw:>9.1}");
+        }
+    }
+}
+
+impl Rows for exp::Table3Row {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Table III: FPGA utilization (microbenchmark)");
+        let _ = writeln!(
+            out,
+            "{:<10} {:>5} {:>5} {:>7} {:>7} {:>7} {:>5} {:>7}",
+            "board", "tiles", "ins", "MHz", "ALM", "Reg", "BRAM", "%chip"
+        );
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<10} {:>5} {:>5} {:>7.0} {:>7} {:>7} {:>5} {:>6.0}%",
+                r.board, r.tiles, r.insts, r.mhz, r.alm, r.reg, r.bram, r.chip_pct
+            );
+        }
+    }
+}
+
+impl Rows for exp::Fig14Row {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Fig. 14: ALM utilization by sub-block (%)");
+        let _ = writeln!(
+            out,
+            "{:<10} {:>7} {:>9} {:>9} {:>8} {:>6}",
+            "config", "tiles", "par-for", "taskctrl", "mem-arb", "misc"
+        );
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<10} {:>6.1}% {:>8.1}% {:>8.1}% {:>7.1}% {:>5.1}%",
+                r.config,
+                r.tiles_pct,
+                r.parallel_for_pct,
+                r.task_ctrl_pct,
+                r.mem_arb_pct,
+                r.misc_pct
+            );
+        }
+    }
+}
+
+impl Rows for exp::Fig15Row {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Fig. 15: performance scaling with tiles (normalized)");
+        let _ = writeln!(
+            out,
+            "{:<12} {:>9} {:>9} {:>9} {:>9}",
+            "bench", "1 tile", "2 tiles", "4 tiles", "8 tiles"
+        );
+        let mut names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+        names.dedup();
+        for n in names {
+            let _ = write!(out, "{n:<12}");
+            for t in [1usize, 2, 4, 8] {
+                let v = rows
+                    .iter()
+                    .find(|r| r.name == n && r.tiles == t)
+                    .map(|r| r.speedup)
+                    .unwrap_or(0.0);
+                let _ = write!(out, " {v:>8.2}x");
+            }
+            let _ = writeln!(out);
+        }
+    }
+}
+
+impl Rows for exp::Fig16Row {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Fig. 16: performance vs Intel i7 (gain > 1 means FPGA faster)");
+        let _ = writeln!(
+            out,
+            "{:<12} {:>10} {:>10} {:>10} {:>8}",
+            "bench", "board", "fpga ms", "i7 ms", "gain"
+        );
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<12} {:>10} {:>10.3} {:>10.3} {:>7.2}x",
+                r.name, r.board, r.fpga_ms, r.i7_ms, r.gain
+            );
+        }
+    }
+}
+
+impl Rows for exp::Table4Row {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Table IV: resources & power (Cyclone V)");
+        let _ = writeln!(
+            out,
+            "{:<12} {:>5} {:>6} {:>7} {:>7} {:>5} {:>8}",
+            "bench", "tiles", "MHz", "ALMs", "Regs", "BRAM", "Power(W)"
+        );
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<12} {:>5} {:>6.0} {:>7} {:>7} {:>5} {:>8.3}",
+                r.name, r.tiles, r.mhz, r.alms, r.regs, r.brams, r.power_w
+            );
+        }
+    }
+}
+
+impl Rows for exp::Fig17Row {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Fig. 17: performance/watt vs Intel i7");
+        let _ = writeln!(out, "{:<12} {:>10} {:>10}", "bench", "board", "gain");
+        for r in rows {
+            let _ = writeln!(out, "{:<12} {:>10} {:>9.1}x", r.name, r.board, r.perf_per_watt_gain);
+        }
+    }
+}
+
+impl Rows for exp::Table5Row {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Table V: Intel HLS vs TAPAS (Cyclone V)");
+        let _ = writeln!(
+            out,
+            "{:<12} {:<10} {:>6} {:>7} {:>7} {:>5} {:>9}",
+            "bench", "tool", "MHz", "ALMs", "Reg", "BRAM", "runtime"
+        );
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<12} {:<10} {:>6.0} {:>7} {:>7} {:>5} {:>7.2}ms",
+                r.name, r.tool, r.mhz, r.alms, r.regs, r.brams, r.runtime_ms
+            );
+        }
+    }
+}
+
+impl Rows for exp::GrainAblationRow {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Ablation: cilk_for grainsize on the i7 baseline");
+        let _ =
+            writeln!(out, "{:<12} {:>10} {:>11} {:>9}", "bench", "fine ms", "coarse ms", "speedup");
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<12} {:>10.3} {:>11.3} {:>8.1}x",
+                r.name, r.fine_ms, r.coarse_ms, r.coarsening_speedup
+            );
+        }
+    }
+}
+
+/// Each point runs in its own cell; the fold normalizes every row to the
+/// first (1 MSHR, 1-wide, no L2) point.
+impl Rows for exp::MemAblationRow {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Ablation: cache miss parallelism (SAXPY, 4 tiles)");
+        let _ = writeln!(
+            out,
+            "{:>6} {:>11} {:>5} {:>10} {:>9}",
+            "MSHRs", "issue width", "L2", "cycles", "speedup"
+        );
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:>6} {:>11} {:>5} {:>10} {:>8.2}x",
+                r.mshrs,
+                r.issue_width,
+                if r.l2 { "yes" } else { "no" },
+                r.cycles,
+                r.speedup
+            );
+        }
+    }
+
+    fn finish(rows: &mut [Self]) {
+        let Some(base) = rows.first().map(|r| r.cycles) else { return };
+        for r in rows {
+            r.speedup = base as f64 / r.cycles as f64;
+        }
+    }
+}
+
+impl Rows for exp::ElisionAblationRow {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Ablation: static task elision (scale microbenchmark)");
+        let _ =
+            writeln!(out, "{:<9} {:>10} {:>8} {:>11}", "variant", "cycles", "ALMs", "task units");
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<9} {:>10} {:>8} {:>11}",
+                r.variant, r.cycles, r.alms, r.task_units
+            );
+        }
+    }
+}
+
+impl Rows for exp::LintRow {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Static analysis: tapas-lint over the benchmark suite");
+        let _ = writeln!(out, "{:<16} {:>6} worst", "bench", "diags");
+        for r in rows {
+            let _ = writeln!(out, "{:<16} {:>6} {}", r.name, r.diags, r.worst);
+        }
+    }
+}
+
+impl Rows for exp::ProfileRow {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Cycle attribution: what bounds each benchmark");
+        let _ = writeln!(
+            out,
+            "{:<12} {:>5} {:>9} {:<14} {:>8} {:>7} {:>7} {:>8} {:<18}",
+            "bench",
+            "tiles",
+            "cycles",
+            "verdict",
+            "compute",
+            "mem",
+            "spawn",
+            "q-full",
+            "dominant stall"
+        );
+        for r in rows {
+            let q_full: u64 = r.unit_queues.iter().map(|u| u.full_cycles).sum();
+            let _ = writeln!(
+                out,
+                "{:<12} {:>5} {:>9} {:<14} {:>7.0}% {:>6.0}% {:>6.0}% {:>8} {:<18}",
+                r.name,
+                r.tiles,
+                r.cycles,
+                r.class,
+                r.compute_frac * 100.0,
+                r.memory_frac * 100.0,
+                r.spawn_frac * 100.0,
+                q_full,
+                r.dominant
+            );
+        }
+    }
+}
+
+impl Rows for exp::StressRow {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Bounded resources: undersized-queue stress matrix (output == golden)");
         let _ = writeln!(
             out,
             "{:<12} {:>6} {:>10} {:>8} {:>8} {:>8}",
-            r.name, r.ntasks, r.cycles, r.spills, r.refills, r.inline_spawns
+            "bench", "ntasks", "cycles", "spills", "refills", "inline"
         );
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<12} {:>6} {:>10} {:>8} {:>8} {:>8}",
+                r.name, r.ntasks, r.cycles, r.spills, r.refills, r.inline_spawns
+            );
+        }
     }
-    out
 }
 
-/// Render the tuning-matrix table.
-pub fn render_tune(rows: &[exp::TuneRow]) -> String {
-    let mut out = String::new();
-    hdr(&mut out, "Tuning: opt-in work stealing + banked L1 (output == golden)");
-    let _ = writeln!(
-        out,
-        "{:<12} {:<14} {:>5} {:>10} {:>7} {:>9} {:>9} {:>8}",
-        "bench", "variant", "tiles", "cycles", "steals", "stealfail", "bankconf", "speedup"
-    );
-    for r in rows {
+impl Rows for exp::TuneRow {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Tuning: opt-in work stealing + banked L1 (output == golden)");
         let _ = writeln!(
             out,
-            "{:<12} {:<14} {:>5} {:>10} {:>7} {:>9} {:>9} {:>7.2}x",
-            r.name,
-            r.variant,
-            r.tiles,
-            r.cycles,
-            r.steals,
-            r.steal_fail,
-            r.bank_conflicts,
-            r.speedup
+            "{:<12} {:<14} {:>5} {:>10} {:>7} {:>9} {:>9} {:>8}",
+            "bench", "variant", "tiles", "cycles", "steals", "stealfail", "bankconf", "speedup"
         );
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<12} {:<14} {:>5} {:>10} {:>7} {:>9} {:>9} {:>7.2}x",
+                r.name,
+                r.variant,
+                r.tiles,
+                r.cycles,
+                r.steals,
+                r.steal_fail,
+                r.bank_conflicts,
+                r.speedup
+            );
+        }
     }
-    out
 }
 
-/// Render the static-analysis cross-check table.
-pub fn render_analyze(rows: &[exp::AnalyzeRow]) -> String {
-    let mut out = String::new();
-    hdr(&mut out, "Static analysis: predicted vs measured (bounds bracket the interpreter)");
-    let _ = writeln!(
-        out,
-        "{:<12} {:>16} {:>9} {:>13} {:>8} {:>7} {:>7} {:>9} {:>7} {:>5} {:<14} {:<14}",
-        "bench",
-        "work [lo,hi]",
-        "dyn",
-        "span [lo,hi]",
-        "dyn",
-        "mem",
-        "spawns",
-        "min-safe",
-        "seed-ok",
-        "peak",
-        "predicted",
-        "measured"
-    );
-    let fmt_hi = |hi: Option<u64>| hi.map(|h| h.to_string()).unwrap_or_else(|| "inf".to_string());
-    for r in rows {
+impl Rows for exp::AnalyzeRow {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Static analysis: predicted vs measured (bounds bracket the interpreter)");
         let _ = writeln!(
             out,
-            "{:<12} {:>16} {:>9} {:>13} {:>8} {:>7} {:>7} {:>9} {:>7} {:>5} {:<14} {:<14}{}",
-            r.name,
-            format!("[{},{}]", r.work_lo, fmt_hi(r.work_hi)),
-            r.dyn_work,
-            format!("[{},{}]", r.span_lo, fmt_hi(r.span_hi)),
-            r.dyn_span,
-            r.dyn_mem,
-            r.dyn_spawns,
-            r.min_safe_ntasks.map(|n| n.to_string()).unwrap_or_else(|| "none".to_string()),
-            if r.safe_at_seed { "yes" } else { "NO" },
-            r.dyn_peak_tasks,
-            r.predicted,
-            r.measured,
-            if r.agree { "" } else { "  <- disagree" }
+            "{:<12} {:>16} {:>9} {:>13} {:>8} {:>7} {:>7} {:>9} {:>7} {:>5} {:<14} {:<14}",
+            "bench",
+            "work [lo,hi]",
+            "dyn",
+            "span [lo,hi]",
+            "dyn",
+            "mem",
+            "spawns",
+            "min-safe",
+            "seed-ok",
+            "peak",
+            "predicted",
+            "measured"
         );
+        let fmt_hi =
+            |hi: Option<u64>| hi.map(|h| h.to_string()).unwrap_or_else(|| "inf".to_string());
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<12} {:>16} {:>9} {:>13} {:>8} {:>7} {:>7} {:>9} {:>7} {:>5} {:<14} {:<14}{}",
+                r.name,
+                format!("[{},{}]", r.work_lo, fmt_hi(r.work_hi)),
+                r.dyn_work,
+                format!("[{},{}]", r.span_lo, fmt_hi(r.span_hi)),
+                r.dyn_span,
+                r.dyn_mem,
+                r.dyn_spawns,
+                r.min_safe_ntasks.map(|n| n.to_string()).unwrap_or_else(|| "none".to_string()),
+                if r.safe_at_seed { "yes" } else { "NO" },
+                r.dyn_peak_tasks,
+                r.predicted,
+                r.measured,
+                if r.agree { "" } else { "  <- disagree" }
+            );
+        }
     }
-    out
 }
 
-/// Render the fault-injection matrix.
-pub fn render_faults(rows: &[exp::FaultRow]) -> String {
-    let mut out = String::new();
-    hdr(&mut out, "Robustness: fault-injection matrix (masked or detected, never silent)");
-    let _ = writeln!(
-        out,
-        "{:<12} {:<16} {:<10} {:>7} {:>7} {:>4} {:>6} detail",
-        "bench", "scenario", "outcome", "inject", "retries", "ecc", "fenced"
-    );
-    for r in rows {
+impl Rows for exp::FaultRow {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Robustness: fault-injection matrix (masked or detected, never silent)");
         let _ = writeln!(
             out,
-            "{:<12} {:<16} {:<10} {:>7} {:>7} {:>4} {:>6} {}",
-            r.name,
-            r.scenario,
-            r.outcome,
-            r.faults_injected,
-            r.mem_retries,
-            r.ecc_retries,
-            r.quarantined_tiles,
-            r.detail
+            "{:<12} {:<16} {:<10} {:>7} {:>7} {:>4} {:>6} detail",
+            "bench", "scenario", "outcome", "inject", "retries", "ecc", "fenced"
         );
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<12} {:<16} {:<10} {:>7} {:>7} {:>4} {:>6} {}",
+                r.name,
+                r.scenario,
+                r.outcome,
+                r.faults_injected,
+                r.mem_retries,
+                r.ecc_retries,
+                r.quarantined_tiles,
+                r.detail
+            );
+        }
     }
-    out
+
+    fn failure(rows: &[Self]) -> Option<String> {
+        let wrong = rows.iter().filter(|r| r.silently_wrong()).count();
+        (wrong > 0).then(|| format!("{wrong} run(s) completed with silently corrupted output"))
+    }
 }
 
-/// Render the per-workload differential-cell table.
-pub fn render_differential(rows: &[exp::DifferentialRow]) -> String {
-    let mut out = String::new();
-    hdr(&mut out, "Differential: seeded per-workload config sweeps vs the golden model");
-    let _ = writeln!(out, "{:<12} {:>18} {:>8} {:>7}", "bench", "seed", "samples", "checks");
-    for r in rows {
-        let _ = writeln!(out, "{:<12} {:>18} {:>8} {:>7}", r.workload, r.seed, r.samples, r.checks);
+impl Rows for exp::DifferentialRow {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Differential: seeded per-workload config sweeps vs the golden model");
+        let _ = writeln!(out, "{:<12} {:>18} {:>8} {:>7}", "bench", "seed", "samples", "checks");
+        for r in rows {
+            let _ =
+                writeln!(out, "{:<12} {:>18} {:>8} {:>7}", r.workload, r.seed, r.samples, r.checks);
+        }
     }
-    out
 }
 
-/// Render the per-workload kill-and-resume chaos table.
-pub fn render_chaos(rows: &[exp::ChaosRow]) -> String {
-    let mut out = String::new();
-    hdr(&mut out, "Chaos: kill-and-resume snapshot identity (resumed == uninterrupted)");
-    let _ = writeln!(out, "{:<12} {:>18} {:>7} {:>9}", "bench", "seed", "trials", "verified");
-    for r in rows {
-        let _ =
-            writeln!(out, "{:<12} {:>18} {:>7} {:>9}", r.workload, r.seed, r.trials, r.verified);
+impl Rows for exp::ChaosRow {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Chaos: kill-and-resume snapshot identity (resumed == uninterrupted)");
+        let _ = writeln!(out, "{:<12} {:>18} {:>7} {:>9}", "bench", "seed", "trials", "verified");
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<12} {:>18} {:>7} {:>9}",
+                r.workload, r.seed, r.trials, r.verified
+            );
+        }
     }
-    out
 }
 
-/// Render the generated-traffic fuzzing table.
-pub fn render_fuzz(rows: &[exp::FuzzRow]) -> String {
-    let mut out = String::new();
-    hdr(&mut out, "Fuzzsim: generated task-graph traffic vs the golden model");
-    let _ = writeln!(out, "{:<20} {:<10} {:>8} {:>7}", "seed", "shape", "configs", "checks");
-    for r in rows {
-        let _ = writeln!(out, "{:<20} {:<10} {:>8} {:>7}", r.seed, r.shape, r.configs, r.checks);
+impl Rows for exp::FuzzRow {
+    fn render(rows: &[Self], out: &mut String) {
+        hdr(out, "Fuzzsim: generated task-graph traffic vs the golden model");
+        let _ = writeln!(out, "{:<20} {:<10} {:>8} {:>7}", "seed", "shape", "configs", "checks");
+        for r in rows {
+            let _ =
+                writeln!(out, "{:<20} {:<10} {:>8} {:>7}", r.seed, r.shape, r.configs, r.checks);
+        }
     }
-    out
-}
-
-/// Render the engine-throughput benchmark.
-pub fn render_bench(results: &perf::BenchResults) -> String {
-    let mut out = String::new();
-    hdr(&mut out, "Bench: event-driven vs stepped engine (cycle counts identical)");
-    let _ = writeln!(
-        out,
-        "{:<12} {:>5} {:>6} {:>9} {:>9} {:>8} {:>10} {:>10} {:>11} {:>8}",
-        "bench",
-        "tiles",
-        "spawn",
-        "cycles",
-        "events",
-        "skipped",
-        "event ms",
-        "step ms",
-        "Mcyc/s",
-        "speedup"
-    );
-    for r in &results.rows {
-        let _ = writeln!(
-            out,
-            "{:<12} {:>5} {:>6} {:>9} {:>9} {:>8} {:>10.2} {:>10.2} {:>11.2} {:>7.2}x",
-            r.name,
-            r.tiles,
-            r.spawn_cost,
-            r.cycles,
-            r.engine_events,
-            r.skipped_cycles,
-            r.wall_ms_event,
-            r.wall_ms_stepped,
-            r.sim_cycles_per_sec / 1e6,
-            r.speedup
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\nspawn-bound suite speedup: {:.2}x (deeprec chain, spawn latency sweep)",
-        results.spawn_suite_speedup
-    );
-    let _ = writeln!(
-        out,
-        "sweeps: tune {:.0} ms, differential {:.0} ms ({} samples), boundary {:.0} ms ({} samples)",
-        results.tune_wall_ms,
-        results.differential_wall_ms,
-        results.differential_samples,
-        results.boundary_wall_ms,
-        results.boundary_samples
-    );
-    if results.shard_jobs > 0 {
-        let _ = writeln!(
-            out,
-            "shard: {} cells, jobs=1 {:.0} ms vs jobs={} {:.0} ms ({:.2}x)",
-            results.shard_cells,
-            results.shard_wall_ms_serial,
-            results.shard_jobs,
-            results.shard_wall_ms_parallel,
-            results.shard_speedup
-        );
-    }
-    let _ = writeln!(out, "total wall: {:.0} ms", results.total_wall_ms);
-    out
 }
 
 #[cfg(test)]
@@ -828,11 +1032,7 @@ mod tests {
     #[test]
     fn registry_names_are_unique_and_findable() {
         let names: Vec<&str> = registry().iter().map(|e| e.name).collect();
-        assert_eq!(
-            names.len(),
-            9,
-            "profile/faults/stress/tune/analyze/bench/differential/chaos/fuzzsim"
-        );
+        assert_eq!(names.len(), 23, "13 paper sections, lint, 8 harness experiments and all");
         let mut dedup = names.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -840,13 +1040,25 @@ mod tests {
         for n in &names {
             assert!(find(n).is_some());
         }
-        assert!(find("fig13").is_none(), "paper tables are not runner experiments");
+        assert!(find("fig13").is_some(), "paper tables are registry experiments");
+        for alias in ["spawn_latency", "grain", "mem", "elision", "bench"] {
+            assert!(find(alias).is_none(), "`{alias}` is not a subcommand");
+        }
+        for section in ALL {
+            assert!(find(section).is_some(), "`all` runs `{section}`");
+        }
     }
 
     #[test]
     fn every_experiment_advertises_the_current_schema() {
         for e in registry() {
-            assert_eq!(e.schema_version, exp::JSON_SCHEMA_VERSION, "{}", e.name);
+            let doc = json::parse(&e.report(&[]).json).expect("an empty fold dumps valid JSON");
+            assert_eq!(
+                doc.get("schema_version").and_then(JsonValue::as_f64),
+                Some(exp::JSON_SCHEMA_VERSION as f64),
+                "{}",
+                e.name
+            );
         }
     }
 
@@ -861,7 +1073,10 @@ mod tests {
             ids.dedup();
             assert_eq!(ids.len(), n, "{}: duplicate cell id", e.name);
             for id in ids {
-                assert!(id.starts_with(e.name), "{}: cell `{id}` not namespaced", e.name);
+                // `all`'s cells keep their sections' ids, so one journal
+                // serves both and each section folds its own slice.
+                let owned = owner(id) == e.name || (e.name == "all" && ALL.contains(&owner(id)));
+                assert!(owned, "{}: cell `{id}` not namespaced", e.name);
             }
         }
     }
@@ -882,20 +1097,37 @@ mod tests {
 
     #[test]
     fn cell_payload_round_trips_through_the_journal_codec() {
-        let payload = CellPayload::Stress(exp::StressRow {
+        let rows = vec![exp::StressRow {
             name: "fib".to_string(),
             ntasks: 2,
             cycles: 1234,
             spills: 5,
             refills: 5,
             inline_spawns: 17,
-        });
+        }];
+        let value = payload(rows.clone()).expect("rows encode to JSON");
         let c = codec();
-        let encoded = (c.encode)(&payload);
-        let decoded =
-            (c.decode)(&crate::json::parse(&encoded).expect("valid JSON")).expect("decodes");
+        let encoded = (c.encode)(&value);
+        assert_eq!(encoded, rows.to_json(), "the journal stores the rows' own encoding");
+        let decoded = (c.decode)(&json::parse(&encoded).expect("valid JSON")).expect("decodes");
         assert_eq!(encoded, (c.encode)(&decoded), "decode ∘ encode must be the identity");
-        let bad = crate::json::parse("{\"kind\":\"nope\",\"data\":{}}").unwrap();
-        assert!((c.decode)(&bad).is_err());
+
+        // A payload that does not decode fails the fold instead of
+        // dropping its rows silently.
+        let record = |id: &str, payload| exec::CellRecord {
+            id: id.to_string(),
+            status: exec::CellStatus::Ok,
+            attempts: 1,
+            detail: String::new(),
+            payload: Some(payload),
+            resumed: true,
+        };
+        let folded = fold::<exp::StressRow>(&[
+            record("stress/fib/2", decoded),
+            record("stress/fib/4", JsonValue::Str("nope".to_string())),
+        ]);
+        let failure = folded.failure.expect("an undecodable payload fails the experiment");
+        assert!(failure.contains("stress/fib/4: payload does not decode"), "got: {failure}");
+        assert!(folded.text.contains("1234"), "the decodable row still renders");
     }
 }

@@ -1,4 +1,8 @@
-//! One function per table/figure of the paper's evaluation.
+//! The paper's evaluation and the harness experiments, one row type each.
+//!
+//! Every function here produces the rows of one executor cell; the
+//! [`crate::experiment`] registry decomposes each table or figure into
+//! such cells, folds their rows and renders them.
 
 use crate::{design_info, estimate, i7_seconds, ntasks_for, seconds_on_board, simulate};
 use tapas::baseline::{estimate_static_hls, StaticHlsConfig};
@@ -18,7 +22,7 @@ pub struct Table2Row {
     /// Benchmark name.
     pub name: String,
     /// The paper's "HLS challenge" tag.
-    pub challenge: &'static str,
+    pub challenge: String,
     /// Total static instructions across tasks.
     pub per_task_insts: usize,
     /// Total static memory operations across tasks.
@@ -45,7 +49,7 @@ pub fn table2() -> Vec<Table2Row> {
             let design = Toolchain::new().compile(&wl.module).expect("compiles");
             let report = design.task_report();
             Table2Row {
-                challenge: challenge(&wl.name),
+                challenge: challenge(&wl.name).to_string(),
                 per_task_insts: report.iter().map(|r| r.insts).sum(),
                 mem_ops: report.iter().map(|r| r.mem_ops).sum(),
                 tasks: report.len(),
@@ -93,31 +97,33 @@ pub struct Fig13Row {
     pub madds_per_sec: f64,
 }
 
-/// Regenerate Fig. 13 (Arria 10 target, as in the paper).
-pub fn fig13() -> Vec<Fig13Row> {
+/// The per-task work points of Fig. 13, one executor cell each.
+pub const FIG13_ADDERS: [u32; 5] = [10, 20, 30, 40, 50];
+
+/// Fig. 13 rows for one per-task work point (Arria 10 target, as in the
+/// paper): 1..5 tiles, then the software line.
+pub fn fig13_rows(adders: u32) -> Vec<Fig13Row> {
     let n = 1024u64;
     let mut rows = Vec::new();
-    for adders in [10u32, 20, 30, 40, 50] {
-        let wl = scale_micro::build(n, adders);
-        for tiles in 1..=5usize {
-            let out = simulate(&wl, tiles, 64);
-            let est = estimate(&wl, tiles, Board::Arria10);
-            let secs = out.cycles as f64 / (est.fmax_mhz * 1e6);
-            rows.push(Fig13Row {
-                adders,
-                tiles: Some(tiles),
-                madds_per_sec: (n * u64::from(adders)) as f64 / secs / 1e6,
-            });
-        }
-        // Software: the same program through the i7 work-stealing model
-        // (grainsize 1 — Tapir detaches one task per iteration).
-        let secs = i7_seconds(&wl, 4);
+    let wl = scale_micro::build(n, adders);
+    for tiles in 1..=5usize {
+        let out = simulate(&wl, tiles, 64);
+        let est = estimate(&wl, tiles, Board::Arria10);
+        let secs = out.cycles as f64 / (est.fmax_mhz * 1e6);
         rows.push(Fig13Row {
             adders,
-            tiles: None,
+            tiles: Some(tiles),
             madds_per_sec: (n * u64::from(adders)) as f64 / secs / 1e6,
         });
     }
+    // Software: the same program through the i7 work-stealing model
+    // (grainsize 1 — Tapir detaches one task per iteration).
+    let secs = i7_seconds(&wl, 4);
+    rows.push(Fig13Row {
+        adders,
+        tiles: None,
+        madds_per_sec: (n * u64::from(adders)) as f64 / secs / 1e6,
+    });
     rows
 }
 
@@ -220,22 +226,20 @@ pub struct Fig15Row {
     pub speedup: f64,
 }
 
-/// Regenerate Fig. 15 (Cyclone V conditions; cycles are board-agnostic,
-/// normalization removes the clock).
-pub fn fig15() -> Vec<Fig15Row> {
+/// Fig. 15 rows for one benchmark (Cyclone V conditions; cycles are
+/// board-agnostic, normalization removes the clock).
+pub fn fig15_rows(wl: &BuiltWorkload) -> Vec<Fig15Row> {
     let mut rows = Vec::new();
-    for wl in suite_eval() {
-        let mut base = None;
-        for tiles in [1usize, 2, 4, 8] {
-            let out = simulate(&wl, tiles, ntasks_for(&wl));
-            let b = *base.get_or_insert(out.cycles);
-            rows.push(Fig15Row {
-                name: wl.name.clone(),
-                tiles,
-                cycles: out.cycles,
-                speedup: b as f64 / out.cycles as f64,
-            });
-        }
+    let mut base = None;
+    for tiles in [1usize, 2, 4, 8] {
+        let out = simulate(wl, tiles, ntasks_for(wl));
+        let b = *base.get_or_insert(out.cycles);
+        rows.push(Fig15Row {
+            name: wl.name.clone(),
+            tiles,
+            cycles: out.cycles,
+            speedup: b as f64 / out.cycles as f64,
+        });
     }
     rows
 }
@@ -255,23 +259,22 @@ pub struct Fig16Row {
     pub gain: f64,
 }
 
-/// Regenerate Fig. 16.
-pub fn fig16() -> Vec<Fig16Row> {
-    let mut rows = Vec::new();
-    for wl in suite_eval() {
-        let i7 = i7_seconds(&wl, 4);
-        for board in [Board::CycloneV, Board::Arria10] {
-            let (fpga, _) = seconds_on_board(&wl, 4, board);
-            rows.push(Fig16Row {
+/// Fig. 16 rows for one benchmark, on both boards.
+pub fn fig16_rows(wl: &BuiltWorkload) -> Vec<Fig16Row> {
+    let i7 = i7_seconds(wl, 4);
+    [Board::CycloneV, Board::Arria10]
+        .into_iter()
+        .map(|board| {
+            let (fpga, _) = seconds_on_board(wl, 4, board);
+            Fig16Row {
                 name: wl.name.clone(),
                 board: format!("{board:?}"),
                 fpga_ms: fpga * 1e3,
                 i7_ms: i7 * 1e3,
                 gain: i7 / fpga,
-            });
-        }
-    }
-    rows
+            }
+        })
+        .collect()
 }
 
 /// Table IV: per-benchmark resources and power on the Cyclone V.
@@ -338,25 +341,25 @@ pub struct Fig17Row {
     pub perf_per_watt_gain: f64,
 }
 
-/// Regenerate Fig. 17 (concurrency 4 on both sides, as in the paper).
-pub fn fig17() -> Vec<Fig17Row> {
-    let mut rows = Vec::new();
-    for wl in suite_eval() {
-        let i7 = i7_seconds(&wl, 4);
-        for board in [Board::CycloneV, Board::Arria10] {
+/// Fig. 17 rows for one benchmark, on both boards (concurrency 4 on both
+/// sides, as in the paper).
+pub fn fig17_rows(wl: &BuiltWorkload) -> Vec<Fig17Row> {
+    let i7 = i7_seconds(wl, 4);
+    [Board::CycloneV, Board::Arria10]
+        .into_iter()
+        .map(|board| {
             let tiles = 4;
-            let (fpga, _) = seconds_on_board(&wl, tiles, board);
-            let est = estimate(&wl, tiles, board);
+            let (fpga, _) = seconds_on_board(wl, tiles, board);
+            let est = estimate(wl, tiles, board);
             let fpga_w = res::power_watts(&est, est.fmax_mhz);
             let gain = (i7 / fpga) * (res::I7_PACKAGE_WATTS / fpga_w);
-            rows.push(Fig17Row {
+            Fig17Row {
                 name: wl.name.clone(),
                 board: format!("{board:?}"),
                 perf_per_watt_gain: gain,
-            });
-        }
-    }
-    rows
+            }
+        })
+        .collect()
 }
 
 /// Table V: Intel HLS vs TAPAS on the statically expressible kernels.
@@ -378,58 +381,56 @@ pub struct Table5Row {
     pub runtime_ms: f64,
 }
 
-/// Regenerate Table V: unroll 3 vs 3 tiles, 270 ns DRAM, Cyclone V.
-pub fn table5() -> Vec<Table5Row> {
-    let mut rows = Vec::new();
-    let cases: Vec<(BuiltWorkload, usize, usize)> = vec![
-        // (workload, streamed words per iteration, streams)
-        (saxpy::build(8192), 3, 3),
-        (image_scale::build(64, 64), 2, 2),
-    ];
-    for (wl, mem_words, streams) in cases {
-        // TAPAS side: simulate with 3 tiles.
-        let tiles = 3;
-        let (secs, _) = seconds_on_board(&wl, tiles, Board::CycloneV);
-        let est = estimate(&wl, tiles, Board::CycloneV);
-        rows.push(Table5Row {
-            name: wl.name.clone(),
-            tool: "TAPAS".into(),
-            mhz: est.fmax_mhz,
-            alms: est.alms,
-            regs: est.regs,
-            brams: est.brams,
-            runtime_ms: secs * 1e3,
-        });
-        // Intel HLS side: static streaming model over the same iteration count.
-        let body = design_info(&wl, 1)
-            .units
-            .iter()
-            .find(|u| u.name == wl.worker_task)
-            .expect("worker unit")
-            .profile;
-        let ihls_est = tapas_res::intel_hls_estimate(&body, 3, streams, Board::CycloneV);
-        let o = estimate_static_hls(
-            wl.work_items,
-            &StaticHlsConfig {
-                unroll: 3,
-                mem_words_per_iter: mem_words,
-                mem_ports: 1,
-                dram_latency: 40,
-                fmax_mhz: ihls_est.fmax_mhz,
-                ..StaticHlsConfig::default()
-            },
-        );
-        rows.push(Table5Row {
-            name: wl.name.clone(),
-            tool: "Intel HLS".into(),
-            mhz: ihls_est.fmax_mhz,
-            alms: ihls_est.alms,
-            regs: ihls_est.regs,
-            brams: ihls_est.brams,
-            runtime_ms: o.millis,
-        });
-    }
-    rows
+/// Table V's kernels: (workload, streamed words per iteration, streams).
+pub fn table5_cases() -> Vec<(BuiltWorkload, usize, usize)> {
+    vec![(saxpy::build(8192), 3, 3), (image_scale::build(64, 64), 2, 2)]
+}
+
+/// Table V rows for one kernel: unroll 3 vs 3 tiles, 270 ns DRAM,
+/// Cyclone V.
+pub fn table5_rows(wl: &BuiltWorkload, mem_words: usize, streams: usize) -> Vec<Table5Row> {
+    // TAPAS side: simulate with 3 tiles.
+    let tiles = 3;
+    let (secs, _) = seconds_on_board(wl, tiles, Board::CycloneV);
+    let est = estimate(wl, tiles, Board::CycloneV);
+    let tapas = Table5Row {
+        name: wl.name.clone(),
+        tool: "TAPAS".into(),
+        mhz: est.fmax_mhz,
+        alms: est.alms,
+        regs: est.regs,
+        brams: est.brams,
+        runtime_ms: secs * 1e3,
+    };
+    // Intel HLS side: static streaming model over the same iteration count.
+    let body = design_info(wl, 1)
+        .units
+        .iter()
+        .find(|u| u.name == wl.worker_task)
+        .expect("worker unit")
+        .profile;
+    let ihls_est = tapas_res::intel_hls_estimate(&body, 3, streams, Board::CycloneV);
+    let o = estimate_static_hls(
+        wl.work_items,
+        &StaticHlsConfig {
+            unroll: 3,
+            mem_words_per_iter: mem_words,
+            mem_ports: 1,
+            dram_latency: 40,
+            fmax_mhz: ihls_est.fmax_mhz,
+            ..StaticHlsConfig::default()
+        },
+    );
+    let intel_hls = Table5Row {
+        name: wl.name.clone(),
+        tool: "Intel HLS".into(),
+        mhz: ihls_est.fmax_mhz,
+        alms: ihls_est.alms,
+        regs: ihls_est.regs,
+        brams: ihls_est.brams,
+        runtime_ms: o.millis,
+    };
+    vec![tapas, intel_hls]
 }
 
 /// Ablation: the effect of Cilk loop-grainsize coarsening on the i7
@@ -483,58 +484,51 @@ pub struct MemAblationRow {
     pub speedup: f64,
 }
 
-/// Regenerate the memory-system ablation.
-pub fn mem_ablation() -> Vec<MemAblationRow> {
+/// The memory-ablation points `(mshrs, issue_width, l2)`, one executor
+/// cell each; the first is the baseline every speedup normalizes to.
+pub const MEM_ABLATION_POINTS: [(usize, usize, bool); 7] = [
+    (1, 1, false),
+    (2, 1, false),
+    (4, 1, false),
+    (4, 2, false),
+    (8, 2, false),
+    (1, 1, true),
+    (4, 2, true),
+];
+
+/// One memory-ablation point. Its `speedup` is left at 1.0: the fold
+/// normalizes every row to the first point's cycles.
+pub fn mem_ablation_row(mshrs: usize, issue_width: usize, l2: bool) -> MemAblationRow {
     use tapas::{AcceleratorConfig, Toolchain};
     let wl = saxpy::build(2048);
-    let mut rows = Vec::new();
-    let mut base = None;
-    for (mshrs, issue_width, l2) in [
-        (1usize, 1usize, false),
-        (2, 1, false),
-        (4, 1, false),
-        (4, 2, false),
-        (8, 2, false),
-        (1, 1, true),
-        (4, 2, true),
-    ] {
-        let mut cfg = AcceleratorConfig {
-            ntasks: 64,
-            mem_bytes: wl.mem.len().next_power_of_two().max(1 << 16),
-            ..AcceleratorConfig::default()
-        }
-        .with_default_tiles(4);
-        cfg.cache.mshrs = mshrs;
-        cfg.databox.issue_width = issue_width;
-        if l2 {
-            cfg.l2 = Some(tapas_mem::CacheConfig {
-                size_bytes: 512 * 1024,
-                line_bytes: 32,
-                ways: 8,
-                hit_latency: 8,
-                mshrs: 4,
-            });
-        }
-        let design = Toolchain::new().compile(&wl.module).expect("compiles");
-        let mut acc = design.instantiate(&cfg).expect("elaborates");
-        acc.mem_mut().write_bytes(0, &wl.mem);
-        let out = acc.run(wl.func, &wl.args).expect("runs");
-        let golden = wl.golden_memory();
-        assert_eq!(
-            acc.mem().read_bytes(wl.output.0, wl.output.1),
-            wl.output_of(&golden),
-            "mem ablation must stay functionally correct"
-        );
-        let b = *base.get_or_insert(out.cycles);
-        rows.push(MemAblationRow {
-            mshrs,
-            issue_width,
-            l2,
-            cycles: out.cycles,
-            speedup: b as f64 / out.cycles as f64,
+    let mut cfg = AcceleratorConfig {
+        ntasks: 64,
+        mem_bytes: wl.mem.len().next_power_of_two().max(1 << 16),
+        ..AcceleratorConfig::default()
+    }
+    .with_default_tiles(4);
+    cfg.cache.mshrs = mshrs;
+    cfg.databox.issue_width = issue_width;
+    if l2 {
+        cfg.l2 = Some(tapas_mem::CacheConfig {
+            size_bytes: 512 * 1024,
+            line_bytes: 32,
+            ways: 8,
+            hit_latency: 8,
+            mshrs: 4,
         });
     }
-    rows
+    let design = Toolchain::new().compile(&wl.module).expect("compiles");
+    let mut acc = design.instantiate(&cfg).expect("elaborates");
+    acc.mem_mut().write_bytes(0, &wl.mem);
+    let out = acc.run(wl.func, &wl.args).expect("runs");
+    let golden = wl.golden_memory();
+    assert_eq!(
+        acc.mem().read_bytes(wl.output.0, wl.output.1),
+        wl.output_of(&golden),
+        "mem ablation must stay functionally correct"
+    );
+    MemAblationRow { mshrs, issue_width, l2, cycles: out.cycles, speedup: 1.0 }
 }
 
 /// Ablation: static serial elision of the task controllers (the paper's
@@ -680,25 +674,6 @@ pub fn profile_row(wl: &BuiltWorkload) -> ProfileRow {
     }
 }
 
-/// Profile every benchmark in the small suite.
-pub fn profile_report() -> Vec<ProfileRow> {
-    suite_small().iter().map(profile_row).collect()
-}
-
-/// The `reproduce profile --json` document: versioned profile rows.
-#[derive(Debug, Clone)]
-pub struct ProfileResults {
-    /// [`JSON_SCHEMA_VERSION`] at the time of the run.
-    pub schema_version: u64,
-    /// One verdict per benchmark.
-    pub rows: Vec<ProfileRow>,
-}
-
-/// Run the profile experiment and wrap it for serialization.
-pub fn profile_results() -> ProfileResults {
-    ProfileResults { schema_version: JSON_SCHEMA_VERSION, rows: profile_report() }
-}
-
 /// One benchmark × fault-scenario cell of the robustness matrix.
 #[derive(Debug, Clone)]
 pub struct FaultRow {
@@ -731,19 +706,14 @@ impl FaultRow {
     }
 }
 
-/// Run every benchmark under a matrix of fault scenarios and verify each
+/// Run one benchmark under a matrix of fault scenarios and verify each
 /// run is **masked** (output byte-identical to the fault-free run) or
 /// **detected** (fails with a typed [`tapas::SimError`]). The matrix
 /// covers transient tile stalls, dropped + duplicated grants, ECC-corrected
 /// corruption, DRAM response timeouts, queue parity errors, retry
 /// exhaustion, and a quarantine scenario where a 4-tile unit loses a tile
-/// mid-run and keeps producing correct results.
-pub fn fault_matrix() -> Vec<FaultRow> {
-    suite_small().iter().flat_map(fault_rows_for).collect()
-}
-
-/// The fault matrix for one benchmark — one executor cell of the `faults`
-/// experiment (the fault-free baseline is amortized across the
+/// mid-run and keeps producing correct results. One executor cell of the
+/// `faults` experiment (the fault-free baseline is amortized across the
 /// benchmark's scenarios, so the workload is the natural cell grain).
 pub fn fault_rows_for(wl: &BuiltWorkload) -> Vec<FaultRow> {
     let mut rows = Vec::new();
@@ -839,20 +809,6 @@ pub fn fault_rows_for(wl: &BuiltWorkload) -> Vec<FaultRow> {
     rows
 }
 
-/// The `reproduce faults --json` document: versioned fault-matrix rows.
-#[derive(Debug, Clone)]
-pub struct FaultMatrixResults {
-    /// [`JSON_SCHEMA_VERSION`] at the time of the run.
-    pub schema_version: u64,
-    /// One row per benchmark × scenario.
-    pub rows: Vec<FaultRow>,
-}
-
-/// Run the fault matrix and wrap it for serialization.
-pub fn fault_results() -> FaultMatrixResults {
-    FaultMatrixResults { schema_version: JSON_SCHEMA_VERSION, rows: fault_matrix() }
-}
-
 /// One cell of the bounded-resource stress matrix: a workload forced
 /// through a deliberately undersized task queue with admission control
 /// armed (`reproduce stress`).
@@ -874,23 +830,12 @@ pub struct StressRow {
     pub inline_spawns: u64,
 }
 
-/// Run `programs` through the undersized-queue matrix. Every cell runs
-/// with [`tapas::AdmissionControl::default`] (inline degradation + queue
+/// One benchmark × queue-size cell of the stress matrix — the executor
+/// cell grain of the `stress` experiment. The cell runs with
+/// [`tapas::AdmissionControl::default`] (inline degradation + queue
 /// virtualization + deadlock recovery) and is validated byte-for-byte
 /// against the golden model inside [`crate::simulate_configured`] — a
 /// wrong result panics, so a returned row *is* the correctness proof.
-pub fn stress_matrix_for(programs: Vec<BuiltWorkload>, queue_sizes: &[usize]) -> Vec<StressRow> {
-    let mut rows = Vec::new();
-    for wl in programs {
-        for &ntasks in queue_sizes {
-            rows.push(stress_row(&wl, ntasks));
-        }
-    }
-    rows
-}
-
-/// One benchmark × queue-size cell of the stress matrix — the executor
-/// cell grain of the `stress` experiment.
 pub fn stress_row(wl: &BuiltWorkload, ntasks: usize) -> StressRow {
     let cfg = tapas::AcceleratorConfig {
         admission: Some(tapas::AdmissionControl::default()),
@@ -907,35 +852,16 @@ pub fn stress_row(wl: &BuiltWorkload, ntasks: usize) -> StressRow {
     }
 }
 
-/// The full stress matrix: the paper suite plus the `deeprec` spawn-chain
-/// (which *cannot* run without admission control on any realistic queue),
-/// each at Ntasks ∈ {1, 2, 4}.
-pub fn stress_matrix() -> Vec<StressRow> {
-    stress_matrix_for(stress_programs(), STRESS_QUEUE_SIZES)
-}
-
 /// Queue sizes every stress benchmark is forced through.
 pub const STRESS_QUEUE_SIZES: &[usize] = &[1, 2, 4];
 
-/// The benchmark list the full stress matrix runs over.
+/// The benchmark list the full stress matrix runs over: the paper suite
+/// plus the `deeprec` spawn-chain (which *cannot* run without admission
+/// control on any realistic queue).
 pub fn stress_programs() -> Vec<BuiltWorkload> {
     let mut programs = suite_small();
     programs.push(tapas_workloads::deeprec::build(400));
     programs
-}
-
-/// The `reproduce stress --json` document: versioned stress rows.
-#[derive(Debug, Clone)]
-pub struct StressResults {
-    /// [`JSON_SCHEMA_VERSION`] at the time of the run.
-    pub schema_version: u64,
-    /// One row per benchmark × queue size.
-    pub rows: Vec<StressRow>,
-}
-
-/// Run the stress matrix and wrap it for serialization.
-pub fn stress_results() -> StressResults {
-    StressResults { schema_version: JSON_SCHEMA_VERSION, rows: stress_matrix() }
 }
 
 /// One benchmark × feature-variant cell of the performance-tuning matrix
@@ -973,47 +899,40 @@ pub fn tune_variants() -> [(&'static str, Option<tapas::StealConfig>, usize); 4]
     ]
 }
 
-/// Run `programs` through the feature-variant matrix at `tiles` tiles per
-/// unit. Every cell is validated byte-for-byte against the golden model
-/// inside [`crate::simulate_configured`], and the `"seed"` cell runs with
-/// both knobs at their defaults — so the first row of each benchmark *is*
-/// the baseline the speedup column normalizes against.
-pub fn tune_matrix_for(programs: Vec<BuiltWorkload>, tiles: usize) -> Vec<TuneRow> {
+/// Run one benchmark through the feature-variant matrix at `tiles` tiles
+/// per unit. Every run is validated byte-for-byte against the golden
+/// model inside [`crate::simulate_configured`], and the `"seed"` run has
+/// both knobs at their defaults — so the first row *is* the baseline the
+/// speedup column normalizes against.
+pub fn tune_rows(wl: &BuiltWorkload, tiles: usize) -> Vec<TuneRow> {
     let mut rows = Vec::new();
-    for wl in programs {
-        let mut seed_cycles = None;
-        for (variant, steal, banks) in tune_variants() {
-            let cfg = tapas::AcceleratorConfig {
-                steal,
-                l1_banks: banks,
-                ..crate::accel_config(&wl, tiles, ntasks_for(&wl))
-            };
-            let (out, _) = crate::simulate_configured(&wl, &cfg);
-            let base = *seed_cycles.get_or_insert(out.cycles);
-            rows.push(TuneRow {
-                name: wl.name.clone(),
-                variant: variant.to_string(),
-                tiles,
-                cycles: out.cycles,
-                steals: out.stats.steals,
-                steal_fail: out.stats.steal_fail,
-                bank_conflicts: out.stats.bank_conflicts,
-                speedup: base as f64 / out.cycles as f64,
-            });
-        }
+    let mut seed_cycles = None;
+    for (variant, steal, banks) in tune_variants() {
+        let cfg = tapas::AcceleratorConfig {
+            steal,
+            l1_banks: banks,
+            ..crate::accel_config(wl, tiles, ntasks_for(wl))
+        };
+        let (out, _) = crate::simulate_configured(wl, &cfg);
+        let base = *seed_cycles.get_or_insert(out.cycles);
+        rows.push(TuneRow {
+            name: wl.name.clone(),
+            variant: variant.to_string(),
+            tiles,
+            cycles: out.cycles,
+            steals: out.stats.steals,
+            steal_fail: out.stats.steal_fail,
+            bank_conflicts: out.stats.bank_conflicts,
+            speedup: base as f64 / out.cycles as f64,
+        });
     }
     rows
 }
 
-/// The full tuning matrix at 4 tiles: the recursive benchmarks (where
-/// stealing bites), the `deeprec` spawn chain (a serial worst case the
-/// features must at least not hurt), and the memory-bound kernels (where
-/// banking bites).
-pub fn tune_matrix() -> Vec<TuneRow> {
-    tune_matrix_for(tune_programs(), 4)
-}
-
-/// The benchmark list the full tuning matrix runs over (one executor cell
+/// The benchmark list the tuning matrix runs over at 4 tiles: the
+/// recursive benchmarks (where stealing bites), the `deeprec` spawn chain
+/// (a serial worst case the features must at least not hurt), and the
+/// memory-bound kernels (where banking bites) — one executor cell
 /// per program: the speedup column normalizes against the program's own
 /// `"seed"` variant, so a whole program is the smallest independent cell).
 pub fn tune_programs() -> Vec<BuiltWorkload> {
@@ -1026,20 +945,6 @@ pub fn tune_programs() -> Vec<BuiltWorkload> {
         matrix_add::build(32),
         stencil::build(16, 16),
     ]
-}
-
-/// The `reproduce tune --json` document: versioned tune rows.
-#[derive(Debug, Clone)]
-pub struct TuneResults {
-    /// [`JSON_SCHEMA_VERSION`] at the time of the run.
-    pub schema_version: u64,
-    /// One row per benchmark × feature variant.
-    pub rows: Vec<TuneRow>,
-}
-
-/// Run the tuning matrix and wrap it for serialization.
-pub fn tune_results() -> TuneResults {
-    TuneResults { schema_version: JSON_SCHEMA_VERSION, rows: tune_matrix() }
 }
 
 /// Predicted-vs-measured verdict for one benchmark of the static-analysis
@@ -1096,98 +1001,74 @@ pub struct AnalyzeRow {
     pub agree: bool,
 }
 
-/// Run the static analyzer over `programs` and cross-check every bound
-/// against the interpreter and every bottleneck prediction against the
+/// Run the static analyzer over one benchmark and cross-check every bound
+/// against the interpreter and the bottleneck prediction against the
 /// cycle-level profiler. Panics if any static interval fails to bracket
 /// its dynamic measurement — the experiment doubles as a soundness check.
-pub fn analyze_report_for(programs: Vec<BuiltWorkload>) -> Vec<AnalyzeRow> {
+pub fn analyze_row(wl: &BuiltWorkload) -> AnalyzeRow {
     use tapas_ir::interp::{run, InterpConfig};
     let seed_ntasks = tapas::AcceleratorConfig::default().ntasks;
-    programs
-        .into_iter()
-        .map(|wl| {
-            let report = tapas::analyze::analyze(&wl.module, wl.func, &wl.args)
-                .expect("workloads are analyzable");
+    let report =
+        tapas::analyze::analyze(&wl.module, wl.func, &wl.args).expect("workloads are analyzable");
 
-            // Dynamic oracle 1: the interpreter's exact counters.
-            let mut mem = wl.mem.clone();
-            let out = run(&wl.module, wl.func, &wl.args, &mut mem, &InterpConfig::default())
-                .expect("workloads interpret");
-            for (what, b, v) in [
-                ("work", report.work, out.work),
-                ("span", report.span, out.span),
-                ("memory ops", report.mem_ops, out.stats.loads + out.stats.stores),
-                ("spawns", report.spawns, out.stats.spawns),
-                ("peak live tasks", report.peak_tasks, out.peak_live_tasks),
-            ] {
-                assert!(b.contains(v), "{}: static {what} {b} must bracket dynamic {v}", wl.name);
-            }
+    // Dynamic oracle 1: the interpreter's exact counters.
+    let mut mem = wl.mem.clone();
+    let out = run(&wl.module, wl.func, &wl.args, &mut mem, &InterpConfig::default())
+        .expect("workloads interpret");
+    for (what, b, v) in [
+        ("work", report.work, out.work),
+        ("span", report.span, out.span),
+        ("memory ops", report.mem_ops, out.stats.loads + out.stats.stores),
+        ("spawns", report.spawns, out.stats.spawns),
+        ("peak live tasks", report.peak_tasks, out.peak_live_tasks),
+    ] {
+        assert!(b.contains(v), "{}: static {what} {b} must bracket dynamic {v}", wl.name);
+    }
 
-            // Dynamic oracle 2: the profiler's bottleneck verdict under the
-            // same configuration `reproduce profile` measures.
-            let sim = crate::simulate_configured(&wl, &profile_config(&wl)).0;
-            let measured =
-                sim.profile.expect("profiling was enabled").bottleneck().class.label().to_string();
-            let predicted = report.predicted.label().to_string();
+    // Dynamic oracle 2: the profiler's bottleneck verdict under the
+    // same configuration `reproduce profile` measures.
+    let sim = crate::simulate_configured(wl, &profile_config(wl)).0;
+    let measured =
+        sim.profile.expect("profiling was enabled").bottleneck().class.label().to_string();
+    let predicted = report.predicted.label().to_string();
 
-            AnalyzeRow {
-                work_lo: report.work.lo,
-                work_hi: report.work.hi,
-                dyn_work: out.work,
-                span_lo: report.span.lo,
-                span_hi: report.span.hi,
-                dyn_span: out.span,
-                mem_lo: report.mem_ops.lo,
-                mem_hi: report.mem_ops.hi,
-                dyn_mem: out.stats.loads + out.stats.stores,
-                spawns_lo: report.spawns.lo,
-                spawns_hi: report.spawns.hi,
-                dyn_spawns: out.stats.spawns,
-                tasks_lo: report.peak_tasks.lo,
-                tasks_hi: report.peak_tasks.hi,
-                dyn_peak_tasks: out.peak_live_tasks,
-                min_safe_ntasks: report.min_safe_ntasks,
-                seed_ntasks,
-                safe_at_seed: report.check_config(seed_ntasks as u64, false).safe,
-                agree: predicted == measured,
-                predicted,
-                measured,
-                name: wl.name,
-            }
-        })
-        .collect()
-}
-
-/// The full static-analysis cross-check: the paper suite plus the
-/// `deeprec` spawn chain. The analyzer flags `deeprec` (one live queue
-/// entry per recursion level, far beyond the seed's 32) and `fib` (a
-/// 177-node recursion tree whose blocked parents pile onto the queues)
-/// as deadlock-prone at the seed `ntasks`; everything else is proven
-/// safe there, and the whole corpus at the deep-queue default of 512.
-pub fn analyze_report() -> Vec<AnalyzeRow> {
-    analyze_report_for(analyze_programs())
+    AnalyzeRow {
+        work_lo: report.work.lo,
+        work_hi: report.work.hi,
+        dyn_work: out.work,
+        span_lo: report.span.lo,
+        span_hi: report.span.hi,
+        dyn_span: out.span,
+        mem_lo: report.mem_ops.lo,
+        mem_hi: report.mem_ops.hi,
+        dyn_mem: out.stats.loads + out.stats.stores,
+        spawns_lo: report.spawns.lo,
+        spawns_hi: report.spawns.hi,
+        dyn_spawns: out.stats.spawns,
+        tasks_lo: report.peak_tasks.lo,
+        tasks_hi: report.peak_tasks.hi,
+        dyn_peak_tasks: out.peak_live_tasks,
+        min_safe_ntasks: report.min_safe_ntasks,
+        seed_ntasks,
+        safe_at_seed: report.check_config(seed_ntasks as u64, false).safe,
+        agree: predicted == measured,
+        predicted,
+        measured,
+        name: wl.name.clone(),
+    }
 }
 
 /// The corpus the analyze cross-check runs over (one executor cell per
-/// program).
+/// program): the paper suite plus the `deeprec` spawn chain. The
+/// analyzer flags `deeprec` (one live queue entry per recursion level,
+/// far beyond the seed's 32) and `fib` (a 177-node recursion tree whose
+/// blocked parents pile onto the queues) as deadlock-prone at the seed
+/// `ntasks`; everything else is proven safe there, and the whole corpus
+/// at the deep-queue default of 512.
 pub fn analyze_programs() -> Vec<BuiltWorkload> {
     let mut programs = suite_small();
     programs.push(tapas_workloads::deeprec::build(400));
     programs
-}
-
-/// The `reproduce analyze --json` document: versioned analyze rows.
-#[derive(Debug, Clone)]
-pub struct AnalyzeResults {
-    /// [`JSON_SCHEMA_VERSION`] at the time of the run.
-    pub schema_version: u64,
-    /// One predicted-vs-measured row per benchmark.
-    pub rows: Vec<AnalyzeRow>,
-}
-
-/// Run the analyze cross-check and wrap it for serialization.
-pub fn analyze_results() -> AnalyzeResults {
-    AnalyzeResults { schema_version: JSON_SCHEMA_VERSION, rows: analyze_report() }
 }
 
 /// One workload's slice of the seeded differential sweep, run as its own
@@ -1208,16 +1089,6 @@ pub struct DifferentialRow {
     pub checks: u64,
 }
 
-/// The `reproduce differential --json` document: versioned per-workload
-/// differential cells.
-#[derive(Debug, Clone)]
-pub struct DifferentialResults {
-    /// [`JSON_SCHEMA_VERSION`] at the time of the run.
-    pub schema_version: u64,
-    /// One row per workload cell.
-    pub rows: Vec<DifferentialRow>,
-}
-
 /// One workload's slice of the kill-and-resume chaos sweep (`reproduce
 /// chaos`): each trial kills a seeded configuration at a seeded cycle via
 /// the engine's halt hook, restores the crash-consistent snapshot onto a
@@ -1236,16 +1107,6 @@ pub struct ChaosRow {
     pub trials: u64,
     /// Trials that restored to byte-identical completion.
     pub verified: u64,
-}
-
-/// The `reproduce chaos --json` document: versioned per-workload
-/// kill-and-resume cells.
-#[derive(Debug, Clone)]
-pub struct ChaosResults {
-    /// [`JSON_SCHEMA_VERSION`] at the time of the run.
-    pub schema_version: u64,
-    /// One row per workload cell.
-    pub rows: Vec<ChaosRow>,
 }
 
 /// One generated program's slice of the fuzzing campaign (`reproduce
@@ -1271,73 +1132,38 @@ pub struct FuzzRow {
     pub checks: u64,
 }
 
-/// The `reproduce fuzzsim --json` document: versioned per-seed fuzzing
-/// cells.
+/// One program's static race check (`reproduce lint`): the paper suite
+/// and the deliberately racy variants through `tapas-lint`.
 #[derive(Debug, Clone)]
-pub struct FuzzResults {
-    /// [`JSON_SCHEMA_VERSION`] at the time of the run.
-    pub schema_version: u64,
-    /// One row per generated-program cell.
-    pub rows: Vec<FuzzRow>,
+pub struct LintRow {
+    /// Program name.
+    pub name: String,
+    /// Diagnostics the linter reported.
+    pub diags: usize,
+    /// The first diagnostic, rendered, or `"clean"`.
+    pub worst: String,
 }
 
-/// Everything, serialized as one JSON document.
-#[derive(Debug, Clone)]
-pub struct AllResults {
-    /// [`JSON_SCHEMA_VERSION`] at the time of the run.
-    pub schema_version: u64,
-    /// Table II rows.
-    pub table2: Vec<Table2Row>,
-    /// Spawn latency / rate.
-    pub spawn: SpawnLatencyResult,
-    /// Fig. 13 rows.
-    pub fig13: Vec<Fig13Row>,
-    /// Table III rows.
-    pub table3: Vec<Table3Row>,
-    /// Fig. 14 rows.
-    pub fig14: Vec<Fig14Row>,
-    /// Fig. 15 rows.
-    pub fig15: Vec<Fig15Row>,
-    /// Fig. 16 rows.
-    pub fig16: Vec<Fig16Row>,
-    /// Table IV rows.
-    pub table4: Vec<Table4Row>,
-    /// Fig. 17 rows.
-    pub fig17: Vec<Fig17Row>,
-    /// Table V rows.
-    pub table5: Vec<Table5Row>,
-    /// Grainsize ablation rows.
-    pub grain_ablation: Vec<GrainAblationRow>,
-    /// Memory-system ablation rows.
-    pub mem_ablation: Vec<MemAblationRow>,
-    /// Task-elision ablation rows.
-    pub elision_ablation: Vec<ElisionAblationRow>,
-    /// Cycle-attribution verdicts.
-    pub profile: Vec<ProfileRow>,
-    /// Fault-injection robustness matrix.
-    pub faults: Vec<FaultRow>,
-}
-
-/// Run every experiment.
-pub fn all() -> AllResults {
-    AllResults {
-        schema_version: JSON_SCHEMA_VERSION,
-        table2: table2(),
-        spawn: spawn_latency(),
-        fig13: fig13(),
-        table3: table3(),
-        fig14: fig14(),
-        fig15: fig15(),
-        fig16: fig16(),
-        table4: table4(),
-        fig17: fig17(),
-        table5: table5(),
-        grain_ablation: grain_ablation(),
-        mem_ablation: mem_ablation(),
-        elision_ablation: elision_ablation(),
-        profile: profile_report(),
-        faults: fault_matrix(),
-    }
+/// Lint the paper suite and the racy variants.
+pub fn lint_rows() -> Vec<LintRow> {
+    let mut programs = suite_eval();
+    programs.extend(tapas_workloads::racy::racy_suite());
+    programs
+        .into_iter()
+        .map(|wl| {
+            let report = tapas_lint::lint_module(&wl.module, &tapas_lint::LintConfig::default())
+                .expect("workloads are well-formed");
+            LintRow {
+                diags: report.diagnostics.len(),
+                worst: report
+                    .diagnostics
+                    .first()
+                    .map(|d| d.render())
+                    .unwrap_or_else(|| "clean".to_string()),
+                name: wl.name,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1383,12 +1209,11 @@ mod tests {
         // it, one entry must suffice. simulate_configured asserts the
         // output matches the golden model, so a returned row is proof of
         // correct termination.
-        let rows = stress_matrix_for(vec![tapas_workloads::deeprec::build(64)], &[1]);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].ntasks, 1);
-        assert!(rows[0].cycles > 0);
+        let row = stress_row(&tapas_workloads::deeprec::build(64), 1);
+        assert_eq!(row.ntasks, 1);
+        assert!(row.cycles > 0);
         assert!(
-            rows[0].inline_spawns + rows[0].spills > 0,
+            row.inline_spawns + row.spills > 0,
             "a one-entry queue must have degraded somewhere"
         );
     }
@@ -1406,159 +1231,83 @@ mod tests {
     }
 }
 
-json_object!(Table2Row { name, challenge, per_task_insts, mem_ops, tasks });
-json_object!(SpawnLatencyResult { min_latency_cycles, spawns_per_sec, clock_mhz });
-json_object!(Fig13Row { adders, tiles, madds_per_sec });
-json_object!(Table3Row { board, tiles, insts, mhz, alm, reg, bram, chip_pct });
-json_object!(Fig14Row {
-    config,
-    tiles_pct,
-    parallel_for_pct,
-    task_ctrl_pct,
-    mem_arb_pct,
-    misc_pct
-});
-json_object!(Fig15Row { name, tiles, cycles, speedup });
-json_object!(Fig16Row { name, board, fpga_ms, i7_ms, gain });
-json_object!(Table4Row { name, tiles, mhz, alms, regs, brams, power_w });
-json_object!(Fig17Row { name, board, perf_per_watt_gain });
-json_object!(Table5Row { name, tool, mhz, alms, regs, brams, runtime_ms });
-json_object!(GrainAblationRow { name, fine_ms, coarse_ms, coarsening_speedup });
-json_object!(MemAblationRow { mshrs, issue_width, l2, cycles, speedup });
-json_object!(ElisionAblationRow { variant, cycles, alms, task_units });
-json_object!(ProfileRow {
-    name,
-    tiles,
-    cycles,
-    class,
-    compute_frac,
-    memory_frac,
-    spawn_frac,
-    dominant,
-    backpressure_cycles,
-    unit_queues
-});
-json_object!(UnitQueueRow { unit, full_cycles });
-json_object!(ProfileResults { schema_version, rows });
-json_object!(StressRow { name, ntasks, cycles, spills, refills, inline_spawns });
-json_object!(StressResults { schema_version, rows });
-json_object!(TuneRow { name, variant, tiles, cycles, steals, steal_fail, bank_conflicts, speedup });
-json_object!(TuneResults { schema_version, rows });
-json_object!(AnalyzeRow {
-    name,
-    work_lo,
-    work_hi,
-    dyn_work,
-    span_lo,
-    span_hi,
-    dyn_span,
-    mem_lo,
-    mem_hi,
-    dyn_mem,
-    spawns_lo,
-    spawns_hi,
-    dyn_spawns,
-    tasks_lo,
-    tasks_hi,
-    dyn_peak_tasks,
-    min_safe_ntasks,
-    seed_ntasks,
-    safe_at_seed,
-    predicted,
-    measured,
-    agree
-});
-json_object!(AnalyzeResults { schema_version, rows });
-json_object!(FaultRow {
-    name,
-    scenario,
-    outcome,
-    detail,
-    cycles,
-    faults_injected,
-    mem_retries,
-    ecc_retries,
-    quarantined_tiles
-});
-json_object!(FaultMatrixResults { schema_version, rows });
-json_object!(DifferentialRow { workload, seed, samples, checks });
-json_object!(DifferentialResults { schema_version, rows });
-json_object!(ChaosRow { workload, seed, trials, verified });
-json_object!(ChaosResults { schema_version, rows });
-json_object!(FuzzRow { seed, shape, configs, checks });
-json_object!(FuzzResults { schema_version, rows });
+// Every row type encodes and decodes by the same field list: a cell
+// journals its rows as JSON and the fold decodes them, so
+// `decode(encode(x)) == x` exactly is what makes a resumed sweep's
+// aggregate byte-identical to a clean run's.
+macro_rules! json_row {
+    ($($ty:ident { $($field:ident),+ $(,)? })*) => {$(
+        json_object!($ty { $($field),+ });
+        json_decode!($ty { $($field),+ });
+    )*};
+}
 
-// Decode impls for every row type the executor's checkpoint journal can
-// store — `decode(encode(x)) == x` exactly, which is what makes a resumed
-// sweep's aggregate byte-identical to a clean run's.
-json_decode!(ProfileRow {
-    name,
-    tiles,
-    cycles,
-    class,
-    compute_frac,
-    memory_frac,
-    spawn_frac,
-    dominant,
-    backpressure_cycles,
-    unit_queues
-});
-json_decode!(UnitQueueRow { unit, full_cycles });
-json_decode!(FaultRow {
-    name,
-    scenario,
-    outcome,
-    detail,
-    cycles,
-    faults_injected,
-    mem_retries,
-    ecc_retries,
-    quarantined_tiles
-});
-json_decode!(StressRow { name, ntasks, cycles, spills, refills, inline_spawns });
-json_decode!(TuneRow { name, variant, tiles, cycles, steals, steal_fail, bank_conflicts, speedup });
-json_decode!(AnalyzeRow {
-    name,
-    work_lo,
-    work_hi,
-    dyn_work,
-    span_lo,
-    span_hi,
-    dyn_span,
-    mem_lo,
-    mem_hi,
-    dyn_mem,
-    spawns_lo,
-    spawns_hi,
-    dyn_spawns,
-    tasks_lo,
-    tasks_hi,
-    dyn_peak_tasks,
-    min_safe_ntasks,
-    seed_ntasks,
-    safe_at_seed,
-    predicted,
-    measured,
-    agree
-});
-json_decode!(DifferentialRow { workload, seed, samples, checks });
-json_decode!(ChaosRow { workload, seed, trials, verified });
-json_decode!(FuzzRow { seed, shape, configs, checks });
-json_object!(AllResults {
-    schema_version,
-    table2,
-    spawn,
-    fig13,
-    table3,
-    fig14,
-    fig15,
-    fig16,
-    table4,
-    fig17,
-    table5,
-    grain_ablation,
-    mem_ablation,
-    elision_ablation,
-    profile,
-    faults
-});
+json_row! {
+    Table2Row { name, challenge, per_task_insts, mem_ops, tasks }
+    SpawnLatencyResult { min_latency_cycles, spawns_per_sec, clock_mhz }
+    Fig13Row { adders, tiles, madds_per_sec }
+    Table3Row { board, tiles, insts, mhz, alm, reg, bram, chip_pct }
+    Fig14Row { config, tiles_pct, parallel_for_pct, task_ctrl_pct, mem_arb_pct, misc_pct }
+    Fig15Row { name, tiles, cycles, speedup }
+    Fig16Row { name, board, fpga_ms, i7_ms, gain }
+    Table4Row { name, tiles, mhz, alms, regs, brams, power_w }
+    Fig17Row { name, board, perf_per_watt_gain }
+    Table5Row { name, tool, mhz, alms, regs, brams, runtime_ms }
+    GrainAblationRow { name, fine_ms, coarse_ms, coarsening_speedup }
+    MemAblationRow { mshrs, issue_width, l2, cycles, speedup }
+    ElisionAblationRow { variant, cycles, alms, task_units }
+    ProfileRow {
+        name,
+        tiles,
+        cycles,
+        class,
+        compute_frac,
+        memory_frac,
+        spawn_frac,
+        dominant,
+        backpressure_cycles,
+        unit_queues
+    }
+    UnitQueueRow { unit, full_cycles }
+    FaultRow {
+        name,
+        scenario,
+        outcome,
+        detail,
+        cycles,
+        faults_injected,
+        mem_retries,
+        ecc_retries,
+        quarantined_tiles
+    }
+    StressRow { name, ntasks, cycles, spills, refills, inline_spawns }
+    TuneRow { name, variant, tiles, cycles, steals, steal_fail, bank_conflicts, speedup }
+    AnalyzeRow {
+        name,
+        work_lo,
+        work_hi,
+        dyn_work,
+        span_lo,
+        span_hi,
+        dyn_span,
+        mem_lo,
+        mem_hi,
+        dyn_mem,
+        spawns_lo,
+        spawns_hi,
+        dyn_spawns,
+        tasks_lo,
+        tasks_hi,
+        dyn_peak_tasks,
+        min_safe_ntasks,
+        seed_ntasks,
+        safe_at_seed,
+        predicted,
+        measured,
+        agree
+    }
+    DifferentialRow { workload, seed, samples, checks }
+    ChaosRow { workload, seed, trials, verified }
+    FuzzRow { seed, shape, configs, checks }
+    LintRow { name, diags, worst }
+}

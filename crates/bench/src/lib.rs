@@ -1,9 +1,10 @@
 //! # tapas-bench — regenerating every table and figure of the paper
 //!
-//! Each function in [`experiments`] reproduces one evaluation artifact of
-//! the paper (Tables II–V, Figures 13–17 and the §V-A spawn-latency
-//! claim) and returns structured rows; the `reproduce` binary formats them
-//! and the bench harness times the underlying simulations.
+//! Each function in [`experiments`] produces the rows of one evaluation
+//! artifact of the paper (Tables II–V, Figures 13–17, the §V-A
+//! spawn-latency claim and the ablations) or of a harness experiment; the
+//! [`experiment`] registry splits each into executor cells, folds and
+//! renders them, and the `reproduce` binary runs the registry.
 //!
 //! Absolute numbers come from the calibrated models in `tapas-res` and the
 //! cycle-level simulator — the *shapes* (who wins, scaling trends,
@@ -14,7 +15,6 @@
 
 pub mod experiment;
 pub mod experiments;
-pub mod perf;
 
 // The hand-rolled JSON layer moved to `tapas-exec` (the sweep executor
 // journals payloads through it); re-exported so `tapas_bench::json::…`
@@ -84,10 +84,13 @@ pub fn accel_config(wl: &BuiltWorkload, tiles: usize, ntasks: usize) -> Accelera
     .with_default_tiles(tiles)
 }
 
+/// Whether `wl`'s program recurses, as the static analyzer sees it.
 /// Recursive workloads spread tiles across every unit (the recursion *is*
 /// the worker); loop workloads concentrate tiles on the body task.
 pub fn is_recursive(wl: &BuiltWorkload) -> bool {
-    matches!(wl.name.as_str(), "fib" | "mergesort" | "deeprec")
+    tapas::analyze::analyze(&wl.module, wl.func, &wl.args)
+        .expect("workloads are analyzable")
+        .recursive
 }
 
 /// Queue depth per workload: recursive designs need deep queues (that is

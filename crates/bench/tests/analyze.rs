@@ -7,8 +7,9 @@
 //! the predicted bottleneck class matches the cycle-level profiler on
 //! every benchmark.
 
-use tapas_bench::experiments::{analyze_results, JSON_SCHEMA_VERSION};
-use tapas_bench::json::{self, JsonValue, ToJson};
+use tapas_bench::experiment::find;
+use tapas_bench::experiments::{AnalyzeRow, JSON_SCHEMA_VERSION};
+use tapas_bench::json::{self, JsonValue};
 
 /// The checked-in schema contract. Changing `JSON_SCHEMA_VERSION` or the
 /// shape of an analyze row fails this test until the golden file is
@@ -35,25 +36,27 @@ fn schema_version_bump_requires_editing_the_golden_file() {
 
 #[test]
 fn analyze_json_round_trips_and_the_verdicts_hold() {
-    // analyze_report_for itself asserts that every static interval
+    // analyze_row itself asserts that every static interval
     // brackets the interpreter's counter, so rows existing is already the
     // soundness proof; this test locks the serialized shape and the
     // safety/prediction verdicts on top.
-    let results = analyze_results();
-    let doc = json::parse(&results.to_json()).expect("analyze dump parses");
+    let report = find("analyze").expect("analyze is registered").run();
+    assert!(report.failure.is_none(), "{:?}", report.failure);
+    let rows: Vec<AnalyzeRow> = report.rows().expect("analyze rows decode");
+    let doc = json::parse(&report.json).expect("analyze dump parses");
     assert_eq!(
         doc.get("schema_version").and_then(JsonValue::as_f64),
         Some(JSON_SCHEMA_VERSION as f64)
     );
-    let rows = doc.get("rows").and_then(JsonValue::as_array).expect("rows array");
-    assert_eq!(rows.len(), results.rows.len());
+    let json_rows = doc.get("rows").and_then(JsonValue::as_array).expect("rows array");
+    assert_eq!(json_rows.len(), rows.len());
 
     let want: Vec<&str> = {
         // Leak is fine in a test: turns the golden line into field names.
         let line: &'static str = Box::leak(golden_line("analyze_row").into_boxed_str());
         line.split(',').collect()
     };
-    for (row, json_row) in results.rows.iter().zip(rows) {
+    for (row, json_row) in rows.iter().zip(json_rows) {
         let JsonValue::Obj(members) = json_row else { panic!("row is an object") };
         let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, want, "analyze row shape drifted from the golden file");
@@ -87,13 +90,13 @@ fn analyze_json_round_trips_and_the_verdicts_hold() {
     // bounds — the boundary sweep in `tests/differential.rs` pins that),
     // while every other benchmark is proven safe at the seed default.
     // Everything is proven safe at the deep-queue harness default of 512.
-    let deeprec = results.rows.iter().find(|r| r.name == "deeprec").expect("deeprec row");
+    let deeprec = rows.iter().find(|r| r.name == "deeprec").expect("deeprec row");
     assert!(!deeprec.safe_at_seed, "deeprec must be flagged unsafe at seed ntasks");
     assert!(
         deeprec.min_safe_ntasks.is_some_and(|n| n > deeprec.seed_ntasks as u64),
         "deeprec's proven-safe minimum must exceed the seed ntasks"
     );
-    for r in &results.rows {
+    for r in &rows {
         let needs_deep_queues = matches!(r.name.as_str(), "fib" | "deeprec");
         assert_eq!(
             r.safe_at_seed, !needs_deep_queues,
@@ -110,7 +113,7 @@ fn analyze_json_round_trips_and_the_verdicts_hold() {
     // Prediction: the static bottleneck class matches the profiler's
     // dynamic verdict on every benchmark (the thresholds are calibrated,
     // and this pins them).
-    for r in &results.rows {
+    for r in &rows {
         assert!(
             r.agree,
             "{}: predicted {} but the profiler measured {}",

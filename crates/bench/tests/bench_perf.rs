@@ -1,18 +1,12 @@
-//! Acceptance tests for the `reproduce bench` engine benchmark: the JSON
-//! schema is locked by a golden file, the dump round-trips through the
-//! hand-rolled parser, and the event-driven core is cycle-identical to
-//! the stepped seed core across the whole benchmark suite — pinned to
-//! cycle counts recorded from the seed engine, so a skew in *either* core
-//! fails loudly.
+//! The event-driven engine core against the stepped seed core: both must
+//! produce identical statistics (the event core's own counters aside) on
+//! the whole benchmark suite and on the `deeprec` spawn chain across
+//! spawn-port latencies, pinned to cycle counts recorded from the seed
+//! engine, so a skew in *either* core fails loudly.
 
-use tapas_bench::json::{self, JsonValue, ToJson};
-use tapas_bench::perf::{BenchResults, BenchRow};
-use tapas_bench::{
-    accel_config, experiments::JSON_SCHEMA_VERSION, ntasks_for, simulate_configured,
-};
-
-/// The checked-in schema contract for `BENCH_8.json`.
-const GOLDEN: &str = include_str!("golden/bench_schema.txt");
+use tapas::SimStats;
+use tapas_bench::{accel_config, ntasks_for, simulate_configured};
+use tapas_workloads::BuiltWorkload;
 
 /// Cycle counts recorded from the seed (stepped) engine for `suite_small`
 /// at 2 tiles and the default queue depths. The event-driven core must
@@ -27,74 +21,44 @@ const SEED_CYCLES: &[(&str, u64)] = &[
     ("fib", 3440),
 ];
 
-fn golden_line(key: &str) -> String {
-    GOLDEN
-        .lines()
-        .find_map(|l| l.strip_prefix(key).and_then(|l| l.strip_prefix('=')))
-        .unwrap_or_else(|| panic!("golden file is missing `{key}=`"))
-        .to_string()
-}
+/// Cycle counts of the `deeprec(256)` spawn chain at `(tiles,
+/// spawn_cost)`: every cycle of handshake latency on a chain is
+/// machine-wide idle time, which the event core skips.
+const SPAWN_CHAIN_CYCLES: &[(usize, u64, u64)] = &[
+    (1, 10, 9790),
+    (1, 25, 17485),
+    (1, 50, 30310),
+    (1, 100, 55960),
+    (1, 200, 107260),
+    (2, 10, 10814),
+    (2, 25, 18509),
+    (2, 50, 31334),
+    (2, 100, 56984),
+    (2, 200, 108284),
+];
 
-#[test]
-fn schema_version_bump_requires_editing_the_golden_file() {
+/// Run `wl` on both cores, assert they agree on every statistic but the
+/// event core's own counters, and return the event core's stats.
+fn both_cores(wl: &BuiltWorkload, tiles: usize, spawn_cost: u64, seed_cycles: u64) -> SimStats {
+    let name = &wl.name;
+    let mut cfg = accel_config(wl, tiles, ntasks_for(wl));
+    cfg.spawn_cost = spawn_cost;
+    let mut stepped = cfg.clone();
+    stepped.event_driven = false;
+    let (ev, _) = simulate_configured(wl, &cfg);
+    let (st, _) = simulate_configured(wl, &stepped);
+    assert_eq!(ev.cycles, seed_cycles, "{name}: event-driven core diverged from seed record");
+    assert_eq!(st.cycles, seed_cycles, "{name}: stepped core diverged from seed record");
+    let masked = |s: &SimStats| SimStats { engine_events: 0, skipped_cycles: 0, ..s.clone() };
+    assert_eq!(masked(&ev.stats), masked(&st.stats), "{name}: the cores' statistics diverged");
     assert_eq!(
-        golden_line("schema_version"),
-        JSON_SCHEMA_VERSION.to_string(),
-        "JSON_SCHEMA_VERSION changed: update tests/golden/bench_schema.txt \
-         (and every consumer of the dump) if the bump is intentional"
+        ev.cycles,
+        ev.stats.engine_events + ev.stats.skipped_cycles,
+        "{name}: event accounting invariant"
     );
-}
-
-#[test]
-fn bench_json_round_trips_through_the_parser() {
-    // A hand-built result set: the round-trip contract is about shape,
-    // not timings, so the test stays fast by not running the sweeps.
-    let results = BenchResults {
-        schema_version: JSON_SCHEMA_VERSION,
-        rows: vec![BenchRow {
-            name: "deeprec".to_string(),
-            tiles: 1,
-            spawn_cost: 50,
-            cycles: 30310,
-            engine_events: 3844,
-            skipped_cycles: 26466,
-            wall_ms_event: 5.4,
-            wall_ms_stepped: 29.5,
-            sim_cycles_per_sec: 5.6e6,
-            speedup: 5.46,
-            spawn_bound: true,
-        }],
-        spawn_suite_speedup: 5.46,
-        tune_wall_ms: 100.0,
-        differential_wall_ms: 200.0,
-        differential_samples: 21,
-        boundary_wall_ms: 50.0,
-        boundary_samples: 12,
-        shard_jobs: 2,
-        shard_cells: 7,
-        shard_wall_ms_serial: 40.0,
-        shard_wall_ms_parallel: 25.0,
-        shard_speedup: 1.6,
-        total_wall_ms: 384.9,
-    };
-    let doc = json::parse(&results.to_json()).expect("bench dump parses");
-    assert_eq!(
-        doc.get("schema_version").and_then(JsonValue::as_f64),
-        Some(JSON_SCHEMA_VERSION as f64)
-    );
-    let rows = doc.get("rows").and_then(JsonValue::as_array).expect("rows array");
-    assert_eq!(rows.len(), 1);
-    let want: Vec<&str> = {
-        let line: &'static str = Box::leak(golden_line("bench_row").into_boxed_str());
-        line.split(',').collect()
-    };
-    let JsonValue::Obj(members) = &rows[0] else { panic!("row is an object") };
-    let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(keys, want, "bench row shape drifted from the golden file");
-    let num = |k: &str| doc.get(k).and_then(JsonValue::as_f64).unwrap();
-    assert_eq!(num("differential_samples") as u64, 21);
-    assert!((num("total_wall_ms") - 384.9).abs() < 1e-9);
-    assert_eq!(rows[0].get("spawn_bound").and_then(JsonValue::as_bool), Some(true));
+    assert_eq!(st.stats.skipped_cycles, 0, "{name}: the stepped core never skips");
+    assert_eq!(st.stats.engine_events, st.cycles);
+    ev.stats
 }
 
 #[test]
@@ -103,19 +67,15 @@ fn event_core_matches_recorded_seed_cycles_suite_wide() {
     assert_eq!(suite.len(), SEED_CYCLES.len(), "suite changed: re-record SEED_CYCLES");
     for (wl, &(name, seed_cycles)) in suite.iter().zip(SEED_CYCLES) {
         assert_eq!(wl.name, name, "suite order changed: re-record SEED_CYCLES");
-        let cfg = accel_config(wl, 2, ntasks_for(wl));
-        let mut stepped = cfg.clone();
-        stepped.event_driven = false;
-        let (ev, _) = simulate_configured(wl, &cfg);
-        let (st, _) = simulate_configured(wl, &stepped);
-        assert_eq!(ev.cycles, seed_cycles, "{name}: event-driven core diverged from seed record");
-        assert_eq!(st.cycles, seed_cycles, "{name}: stepped core diverged from seed record");
-        assert_eq!(
-            ev.cycles,
-            ev.stats.engine_events + ev.stats.skipped_cycles,
-            "{name}: event accounting invariant"
-        );
-        assert_eq!(st.stats.skipped_cycles, 0, "{name}: the stepped core never skips");
-        assert_eq!(st.stats.engine_events, st.cycles);
+        both_cores(wl, 2, 10, seed_cycles);
+    }
+}
+
+#[test]
+fn spawn_chain_is_cycle_identical_and_counts_events() {
+    let chain = tapas_workloads::deeprec::build(256);
+    for &(tiles, spawn_cost, cycles) in SPAWN_CHAIN_CYCLES {
+        let stats = both_cores(&chain, tiles, spawn_cost, cycles);
+        assert!(stats.skipped_cycles > 0, "t{tiles}/c{spawn_cost}: a chain has idle windows");
     }
 }

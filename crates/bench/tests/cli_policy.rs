@@ -103,3 +103,55 @@ fn clean_repro_line_replays_and_reports_clean() {
     );
     assert!(stdout.contains("repro: clean"), "stdout: {stdout}");
 }
+
+#[test]
+fn retired_and_unknown_subcommands_exit_2_listing_every_experiment() {
+    for retired in ["bench", "bench-compare", "grain"] {
+        let out = reproduce(&[retired]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{retired}: stderr: {stderr}");
+        assert!(out.stdout.is_empty(), "{retired}: nothing runs");
+        assert!(stderr.contains(&format!("unknown experiment `{retired}`")), "{stderr}");
+        for e in tapas_bench::experiment::registry() {
+            assert!(stderr.contains(e.name), "{retired}: help omits `{}`: {stderr}", e.name);
+        }
+    }
+}
+
+#[test]
+fn a_paper_section_dumps_json_that_check_json_accepts() {
+    let path = std::env::temp_dir().join(format!("tapas-cli-table2-{}.json", std::process::id()));
+    let path = path.to_str().expect("utf-8 temp path");
+    let out = reproduce(&["table2", "--no-checkpoint", "--json", path]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Table II: benchmark properties"));
+    let check = reproduce(&["check-json", path]);
+    assert_eq!(check.status.code(), Some(0), "{}", String::from_utf8_lossy(&check.stderr));
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn list_shows_the_paper_sections() {
+    let out = reproduce(&["--list"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for section in [
+        "table2",
+        "spawn",
+        "fig13",
+        "table3",
+        "fig14",
+        "fig15",
+        "fig16",
+        "table4",
+        "fig17",
+        "table5",
+        "grain_ablation",
+        "mem_ablation",
+        "elision_ablation",
+        "lint",
+        "all",
+    ] {
+        assert!(stdout.lines().any(|l| l.starts_with(&format!("{section} "))), "{stdout}");
+    }
+}

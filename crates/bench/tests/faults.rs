@@ -3,12 +3,24 @@
 //! (never silently wrong), the quarantine scenario degrades gracefully,
 //! and the `faults --json` dump is versioned and well-formed.
 
-use tapas_bench::experiments::{fault_matrix, fault_results, JSON_SCHEMA_VERSION};
-use tapas_bench::json::{self, JsonValue, ToJson};
+use std::sync::OnceLock;
+use tapas_bench::experiment::{find, ExperimentReport};
+use tapas_bench::experiments::{FaultRow, JSON_SCHEMA_VERSION};
+use tapas_bench::json::{self, JsonValue};
+
+/// The fault matrix, run once for every test in this file.
+fn faults() -> &'static ExperimentReport {
+    static REPORT: OnceLock<ExperimentReport> = OnceLock::new();
+    REPORT.get_or_init(|| find("faults").expect("faults is registered").run())
+}
+
+fn fault_rows() -> Vec<FaultRow> {
+    faults().rows().expect("fault rows decode")
+}
 
 #[test]
 fn matrix_is_masked_or_detected_never_silent() {
-    let rows = fault_matrix();
+    let rows = fault_rows();
     // Seven scenarios per benchmark across the whole suite.
     assert_eq!(rows.len() % 7, 0);
     assert!(rows.len() >= 7 * 7, "the matrix covers every benchmark");
@@ -43,7 +55,7 @@ fn matrix_is_masked_or_detected_never_silent() {
 
 #[test]
 fn quarantine_scenario_loses_a_tile_and_stays_correct() {
-    let rows = fault_matrix();
+    let rows = fault_rows();
     let quarantined: Vec<_> = rows.iter().filter(|r| r.scenario == "quarantine-wedge").collect();
     assert!(!quarantined.is_empty());
     for r in quarantined {
@@ -54,9 +66,8 @@ fn quarantine_scenario_loses_a_tile_and_stays_correct() {
 
 #[test]
 fn fault_json_is_versioned_and_parses() {
-    let results = fault_results();
-    assert_eq!(results.schema_version, JSON_SCHEMA_VERSION);
-    let doc = json::parse(&results.to_json()).expect("dump parses");
+    assert!(faults().failure.is_none(), "{:?}", faults().failure);
+    let doc = json::parse(&faults().json).expect("dump parses");
     let version = doc.get("schema_version").and_then(JsonValue::as_f64);
     assert_eq!(version, Some(JSON_SCHEMA_VERSION as f64));
     let items = doc.get("rows").and_then(JsonValue::as_array).expect("rows is an array");

@@ -3,11 +3,19 @@
 //! benchmark, the bottleneck verdicts the paper's intuition predicts, a
 //! well-formed deterministic Chrome trace, and versioned JSON dumps.
 
+use std::sync::OnceLock;
 use tapas::ProfileLevel;
-use tapas_bench::experiments::{profile_report, profile_results, JSON_SCHEMA_VERSION};
+use tapas_bench::experiment::{find, ExperimentReport};
+use tapas_bench::experiments::{ProfileRow, JSON_SCHEMA_VERSION};
 use tapas_bench::json::{self, JsonValue};
 use tapas_bench::{ntasks_for, simulate_profiled, simulate_traced};
 use tapas_workloads::suite_small;
+
+/// The profile experiment, run once for every test in this file.
+fn profile() -> &'static ExperimentReport {
+    static REPORT: OnceLock<ExperimentReport> = OnceLock::new();
+    REPORT.get_or_init(|| find("profile").expect("profile is registered").run())
+}
 
 #[test]
 fn attribution_invariant_holds_on_every_benchmark() {
@@ -27,7 +35,7 @@ fn attribution_invariant_holds_on_every_benchmark() {
 
 #[test]
 fn verdicts_match_the_workload_structure() {
-    let rows = profile_report();
+    let rows: Vec<ProfileRow> = profile().rows().expect("profile rows decode");
     assert_eq!(rows.len(), 7);
     let class_of = |name: &str| {
         rows.iter().find(|r| r.name == name).unwrap_or_else(|| panic!("{name} row")).class.clone()
@@ -78,9 +86,8 @@ fn mergesort_chrome_trace_is_valid_and_covers_every_task() {
 
 #[test]
 fn profile_json_dump_is_schema_versioned() {
-    use tapas_bench::json::ToJson;
-    let mut results = profile_results();
-    let doc = json::parse(&results.to_json()).expect("dump parses");
+    let dump = &profile().json;
+    let doc = json::parse(dump).expect("dump parses");
     assert_eq!(
         doc.get("schema_version").and_then(JsonValue::as_f64),
         Some(JSON_SCHEMA_VERSION as f64)
@@ -91,8 +98,12 @@ fn profile_json_dump_is_schema_versioned() {
         assert!(r.get("class").and_then(JsonValue::as_str).is_some());
     }
     // A stale version must be detectable the same way `check-json` does it.
-    results.schema_version = JSON_SCHEMA_VERSION + 1;
-    let doc = json::parse(&results.to_json()).unwrap();
+    let stale = dump.replacen(
+        &format!("\"schema_version\":{JSON_SCHEMA_VERSION}"),
+        &format!("\"schema_version\":{}", JSON_SCHEMA_VERSION + 1),
+        1,
+    );
+    let doc = json::parse(&stale).unwrap();
     assert_ne!(
         doc.get("schema_version").and_then(JsonValue::as_f64),
         Some(JSON_SCHEMA_VERSION as f64)

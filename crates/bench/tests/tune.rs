@@ -5,13 +5,25 @@
 //! helping where parallelism exists and costing nothing where it
 //! doesn't.
 
-use tapas_bench::experiments::{tune_matrix, tune_results, tune_variants, JSON_SCHEMA_VERSION};
-use tapas_bench::json::{self, JsonValue, ToJson};
+use std::sync::OnceLock;
+use tapas_bench::experiment::{find, ExperimentReport};
+use tapas_bench::experiments::{tune_variants, TuneRow, JSON_SCHEMA_VERSION};
+use tapas_bench::json::{self, JsonValue};
 
 /// The checked-in schema contract. Changing `JSON_SCHEMA_VERSION` or the
 /// shape of a tune row fails this test until the golden file is edited
 /// to match — bumps must be intentional.
 const GOLDEN: &str = include_str!("golden/tune_schema.txt");
+
+/// The tune matrix, run once for every test in this file.
+fn tune() -> &'static ExperimentReport {
+    static REPORT: OnceLock<ExperimentReport> = OnceLock::new();
+    REPORT.get_or_init(|| find("tune").expect("tune is registered").run())
+}
+
+fn tune_rows() -> Vec<TuneRow> {
+    tune().rows().expect("tune rows decode")
+}
 
 fn golden_line(key: &str) -> String {
     GOLDEN
@@ -33,21 +45,21 @@ fn schema_version_bump_requires_editing_the_golden_file() {
 
 #[test]
 fn tune_json_round_trips_through_the_parser() {
-    let results = tune_results();
-    let doc = json::parse(&results.to_json()).expect("tune dump parses");
+    let results = tune_rows();
+    let doc = json::parse(&tune().json).expect("tune dump parses");
     assert_eq!(
         doc.get("schema_version").and_then(JsonValue::as_f64),
         Some(JSON_SCHEMA_VERSION as f64)
     );
     let rows = doc.get("rows").and_then(JsonValue::as_array).expect("rows array");
-    assert_eq!(rows.len(), results.rows.len());
+    assert_eq!(rows.len(), results.len());
 
     let want: Vec<&str> = {
         // Leak is fine in a test: turns the golden line into field names.
         let line: &'static str = Box::leak(golden_line("tune_row").into_boxed_str());
         line.split(',').collect()
     };
-    for (row, json_row) in results.rows.iter().zip(rows) {
+    for (row, json_row) in results.iter().zip(rows) {
         let JsonValue::Obj(members) = json_row else { panic!("row is an object") };
         let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, want, "tune row shape drifted from the golden file");
@@ -66,7 +78,7 @@ fn tune_json_round_trips_through_the_parser() {
 
 #[test]
 fn tune_matrix_shows_the_features_helping_and_never_hurting() {
-    let rows = tune_matrix();
+    let rows = tune_rows();
     let variants = tune_variants();
     assert_eq!(rows.len() % variants.len(), 0, "every bench runs every variant");
     for chunk in rows.chunks(variants.len()) {

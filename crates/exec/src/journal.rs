@@ -3,7 +3,7 @@
 //! Every completed cell appends one line:
 //!
 //! ```json
-//! {"schema_version":1,"cell":"stress/fib/256","status":"ok","attempts":1,"detail":"","payload":{...}}
+//! {"schema_version":2,"cell":"stress/fib/256","status":"ok","attempts":1,"detail":"","payload":{...}}
 //! ```
 //!
 //! On resume the journal is replayed **last-wins by cell id**; only
@@ -36,8 +36,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Version stamp on every journal line; lines from other versions are
-/// skipped on resume.
-pub const JOURNAL_SCHEMA_VERSION: u64 = 1;
+/// skipped on resume. Version 2: `reproduce` journals each cell's rows as
+/// plain JSON, where version 1 wrapped them in `{"kind":…,"data":…}`.
+pub const JOURNAL_SCHEMA_VERSION: u64 = 2;
 
 /// Payload (de)serializer pair for a journal. Plain function pointers so
 /// a journal stays `Send + Sync` without trait plumbing.
@@ -341,7 +342,7 @@ mod tests {
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("not json at all\n");
         text.push_str("{\"schema_version\":99,\"cell\":\"c/4\",\"status\":\"ok\",\"attempts\":1,\"detail\":\"\",\"payload\":5}\n");
-        text.push_str("{\"schema_version\":1,\"cell\":\"c/5\",\"status\":\"ok\",\"att");
+        text.push_str("{\"schema_version\":2,\"cell\":\"c/5\",\"status\":\"ok\",\"att");
         std::fs::write(&path, text).unwrap();
 
         let journal = Journal::resume(&path, u32_codec()).unwrap();
@@ -435,8 +436,8 @@ mod tests {
         let path = tmp("last-wins");
         std::fs::write(
             &path,
-            "{\"schema_version\":1,\"cell\":\"c/0\",\"status\":\"quarantined\",\"attempts\":2,\"detail\":\"x\",\"payload\":null}\n\
-             {\"schema_version\":1,\"cell\":\"c/0\",\"status\":\"retried\",\"attempts\":3,\"detail\":\"succeeded on attempt 3\",\"payload\":42}\n",
+            "{\"schema_version\":2,\"cell\":\"c/0\",\"status\":\"quarantined\",\"attempts\":2,\"detail\":\"x\",\"payload\":null}\n\
+             {\"schema_version\":2,\"cell\":\"c/0\",\"status\":\"retried\",\"attempts\":3,\"detail\":\"succeeded on attempt 3\",\"payload\":42}\n",
         )
         .unwrap();
         let journal = Journal::resume(&path, u32_codec()).unwrap();

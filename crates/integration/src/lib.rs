@@ -42,10 +42,13 @@ pub struct ConfigSample {
     pub admission: bool,
 }
 
+/// Whether `wl`'s program recurses, as the static analyzer sees it.
 /// Recursive workloads need deep queues when admission control is off —
 /// every live level of the recursion holds a queue entry.
-fn is_recursive(name: &str) -> bool {
-    matches!(name, "fib" | "mergesort" | "deeprec")
+fn is_recursive(wl: &BuiltWorkload) -> bool {
+    tapas_analyze::analyze(&wl.module, wl.func, &wl.args)
+        .expect("suite workloads are analyzable")
+        .recursive
 }
 
 impl ConfigSample {
@@ -223,8 +226,9 @@ pub fn differential_sweep(seed: u64, samples_per_workload: usize) -> Result<usiz
     let mut rng = SplitMix64::new(seed);
     let mut checked = 0usize;
     for wl in suite_small() {
+        let recursive = is_recursive(&wl);
         for _ in 0..samples_per_workload {
-            let sample = ConfigSample::draw(&mut rng, is_recursive(&wl.name));
+            let sample = ConfigSample::draw(&mut rng, recursive);
             if let Err(err) = check_sample(&wl, &sample) {
                 let minimized =
                     minimize(&sample, &|c: &ConfigSample| check_sample(&wl, c).is_err());
@@ -385,10 +389,11 @@ pub fn run_differential_cell(cell: &DiffCell) -> Result<usize, String> {
         .into_iter()
         .find(|w| w.name == cell.workload)
         .ok_or_else(|| format!("unknown workload `{}`", cell.workload))?;
+    let recursive = is_recursive(&wl);
     let mut rng = SplitMix64::new(cell.seed);
     let mut checked = 0usize;
     for _ in 0..cell.samples {
-        let sample = ConfigSample::draw(&mut rng, is_recursive(&wl.name));
+        let sample = ConfigSample::draw(&mut rng, recursive);
         if let Err(err) = check_sample(&wl, &sample) {
             let minimized = minimize(&sample, &|c: &ConfigSample| check_sample(&wl, c).is_err());
             return Err(format!(
@@ -593,10 +598,11 @@ pub fn run_chaos_cell_with(
         .into_iter()
         .find(|w| w.name == cell.workload)
         .ok_or_else(|| format!("unknown workload `{}`", cell.workload))?;
+    let recursive = is_recursive(&wl);
     let mut rng = SplitMix64::new(cell.seed);
     let mut verified = 0usize;
     for _ in 0..cell.trials {
-        let sample = ConfigSample::draw(&mut rng, is_recursive(&wl.name));
+        let sample = ConfigSample::draw(&mut rng, recursive);
         let mut cfg = sample.config(&wl);
         if rng.chance(1, 2) {
             cfg.profile = ProfileLevel::Summary;

@@ -9,10 +9,12 @@ use tapas_workloads::suite_small;
 
 fn main() {
     for wl in suite_small() {
-        // Recursive benchmarks spread tiles across every unit (the
-        // recursion is the worker); loop benchmarks concentrate them on
-        // the body task.
-        let recursive = matches!(wl.name.as_str(), "fib" | "mergesort");
+        // Recursive benchmarks, as the static analyzer sees them, spread
+        // tiles across every unit (the recursion is the worker); loop
+        // benchmarks concentrate them on the body task.
+        let recursive = tapas::analyze::analyze(&wl.module, wl.func, &wl.args)
+            .expect("suite workloads are analyzable")
+            .recursive;
         let ntasks = if recursive { 512 } else { 32 };
         let base = AcceleratorConfig::builder()
             .ntasks(ntasks)

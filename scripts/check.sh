@@ -50,35 +50,13 @@ analyze_smoke() {
 }
 
 paper_golden_gate() {
-  # The reproduced paper must not move: the 13 paper sections of a fresh
-  # `reproduce all` dump, key-sorted, must equal the committed
-  # results.json byte for byte. A deliberate model change regenerates
+  # The reproduced paper must not move: every value of the committed
+  # results.json (the 13 paper sections, profile, faults and lint) must
+  # come out of a fresh `reproduce all` unchanged, and golden-diff names
+  # the first cell that moved. A deliberate model change regenerates
   # results.json in the same change.
-  local sections='{table2, spawn, fig13, table3, fig14, fig15, fig16, table4,
-      fig17, table5, grain_ablation, mem_ablation, elision_ablation}'
-  timeout 300 ./target/release/reproduce all --json /tmp/paper_all.json >/dev/null
-  jq -S "${sections}" results.json >/tmp/paper_golden.json
-  jq -S "${sections}" /tmp/paper_all.json >/tmp/paper_fresh.json
-  cmp /tmp/paper_golden.json /tmp/paper_fresh.json
-}
-
-bench_gate() {
-  # Event-driven engine perf gate: re-runs the bench suite (cycle-identity
-  # between the event-driven and stepped cores is asserted inside), checks
-  # the dump against the schema golden, and fails if total wall clock
-  # regressed more than 2x against the committed BENCH_8.json baseline.
-  # Wall clock on a loaded machine is noisy, so the comparison is best of
-  # three: one slow sample does not fail the gate.
-  local i
-  for i in 1 2 3; do
-    timeout 300 ./target/release/reproduce bench --json /tmp/bench.json >/dev/null
-    ./target/release/reproduce check-json /tmp/bench.json
-    if ./target/release/reproduce bench-compare /tmp/bench.json BENCH_8.json; then
-      return 0
-    fi
-    echo "    bench-compare sample ${i}/3 over budget; retrying"
-  done
-  return 1
+  timeout 300 ./target/release/reproduce all --no-checkpoint --json /tmp/paper_all.json >/dev/null
+  ./target/release/reproduce golden-diff results.json /tmp/paper_all.json
 }
 
 executor_gate() {
@@ -173,7 +151,6 @@ gate "reproduce stress (bounded-resource gate)" stress_smoke
 gate "reproduce tune smoke (opt-in feature gate)" tune_smoke
 gate "reproduce analyze smoke (static-analysis gate)" analyze_smoke
 gate "reproduce all vs results.json (paper-golden gate)" paper_golden_gate
-gate "reproduce bench (event-engine perf gate)" bench_gate
 gate "sweep executor (fault-isolation + resume gate)" executor_gate
 gate "chaos (kill-and-resume crash-consistency gate)" chaos_gate
 gate "fuzzsim (generated-traffic differential gate)" fuzzsim_gate
