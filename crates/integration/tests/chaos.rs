@@ -118,6 +118,48 @@ fn resume_reproduces_a_deadlock_detected_after_the_kill_point() {
 }
 
 #[test]
+fn resume_from_inside_a_spawn_stall_window_is_identity() {
+    // saxpy with a 4-entry queue: the loop's detach is refused whenever the
+    // body queue is full, so the spawning tile parks and the event core
+    // skips the windows in which it only waits for a slot. A halt asked for
+    // inside such a window fires at the window's end; the resume from that
+    // snapshot (which does not carry the park) must reach the uninterrupted
+    // outcome exactly, `engine_events` and `skipped_cycles` included.
+    let wl = tapas_workloads::saxpy::build(128);
+    let cfg = AcceleratorConfig::builder()
+        .tiles(2)
+        .ntasks(4)
+        .mem_bytes(wl.mem.len().next_power_of_two().max(1 << 20))
+        .build()
+        .unwrap();
+    let design = Toolchain::new().compile(&wl.module).unwrap();
+    let mut acc = design.instantiate(&cfg).unwrap();
+    acc.mem_mut().write_bytes(0, &wl.mem);
+    let golden = acc.run(wl.func, &wl.args).unwrap();
+    let stalls: u64 = golden.stats.units.iter().map(|u| u.spawn_stalls).sum();
+    assert!(stalls > golden.cycles / 2, "the spawner is refused most of the run");
+    assert!(golden.stats.skipped_cycles > 0);
+
+    let mut inside = 0;
+    for halt in (golden.cycles / 4..golden.cycles * 3 / 4).step_by(41) {
+        let mut killed = cfg.clone();
+        killed.halt_at_cycle = Some(halt);
+        let mut victim = design.instantiate(&killed).unwrap();
+        victim.mem_mut().write_bytes(0, &wl.mem);
+        assert!(matches!(victim.run(wl.func, &wl.args), Err(SimError::Halted { .. })));
+        let snap = victim.take_halt_snapshot().unwrap();
+        if snap.cycle > halt {
+            inside += 1; // the halt landed inside a skipped window
+        }
+        let snap = tapas::sim::snapshot::EngineSnapshot::from_bytes(&snap.to_bytes()).unwrap();
+        let mut resumed = design.instantiate(&cfg).unwrap();
+        resumed.mem_mut().write_bytes(0, &wl.mem);
+        assert_eq!(resumed.resume(&snap).unwrap(), golden, "halt at {halt}");
+    }
+    assert!(inside > 0, "no halt fell inside a skipped stall window");
+}
+
+#[test]
 fn disk_snapshots_resume_through_the_corruption_fallback_ladder() {
     let wl = tapas_workloads::mergesort::build(96, 12345);
     let path = tmp("ladder");

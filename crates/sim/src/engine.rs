@@ -11,6 +11,7 @@ use crate::snapshot::{Dec, Enc, EngineSnapshot, SnapshotError};
 use crate::AcceleratorConfig;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::num::NonZeroU16;
 use std::rc::Rc;
 use tapas_dfg::{DfgNode, NodeOp, Operand, TaskDfg, TermInfo};
 use tapas_ir::interp::{eval_bin, eval_cmp, eval_fbin, eval_fcmp, sign_extend, Val};
@@ -219,7 +220,9 @@ pub struct UnitStats {
     pub tasks_executed: u64,
     /// Sum over cycles of busy tiles.
     pub busy_tile_cycles: u64,
-    /// Cycles a detach stalled because this unit's queue was full.
+    /// Cycles a spawn into this unit (a `detach`, or a serial call bridged
+    /// through a task spawn) was refused because this unit's queue was
+    /// full.
     pub spawn_stalls: u64,
     /// Peak queue occupancy observed.
     pub queue_peak: usize,
@@ -413,6 +416,13 @@ struct Tile {
     faulted_at: u64,
     /// Waiting for outstanding memory to drain before fencing.
     quarantine_pending: bool,
+    /// The unit whose full queue refused this tile's spawn, as `unit + 1`
+    /// (see [`Tile::parked_unit`]): two bytes fit the record's padding, so
+    /// `Tile` keeps its size. While that queue has no free slot the tile's
+    /// state is frozen, so each cycle charges the stall without re-running
+    /// the spawn, and the event core does not wake for it. Derived state:
+    /// not in snapshots; a restored tile re-parks on its first retry.
+    parked_on: Option<NonZeroU16>,
 }
 
 impl Tile {
@@ -426,6 +436,17 @@ impl Tile {
 
     fn accepts_dispatch(&self, now: u64) -> bool {
         self.exec.is_none() && !self.quarantine_pending && !self.frozen(now)
+    }
+
+    /// The unit this tile is parked on, if any.
+    fn parked_unit(&self) -> Option<usize> {
+        self.parked_on.map(|u| usize::from(u.get()) - 1)
+    }
+
+    /// Park on `unit`. A unit index too large to pack leaves the tile
+    /// unparked, so its spawn retries every cycle.
+    fn park_on(&mut self, unit: usize) {
+        self.parked_on = u16::try_from(unit + 1).ok().and_then(NonZeroU16::new);
     }
 }
 
@@ -1537,6 +1558,7 @@ impl Accelerator {
                 t.faulted_at = 0;
                 t.quarantine_pending = false;
                 t.inline_busy_until = 0;
+                t.parked_on = None;
             }
         }
         if self.cfg.admission.is_some() {
@@ -1708,6 +1730,16 @@ impl Accelerator {
                     for u in &mut self.units {
                         let busy = u.tiles.iter().filter(|t| t.exec.is_some()).count() as u64;
                         u.stats.busy_tile_cycles += busy * skipped;
+                    }
+                    // A parked spawner is refused on every skipped cycle:
+                    // its queue stays full through the window.
+                    for ui in 0..self.units.len() {
+                        for t in 0..self.units[ui].tiles.len() {
+                            if let Some(cu) = self.units[ui].tiles[t].parked_unit() {
+                                debug_assert!(self.units[cu].free.is_empty());
+                                self.units[cu].stats.spawn_stalls += skipped;
+                            }
+                        }
                     }
                     if self.prof.is_some() {
                         self.attribute_skipped(skipped);
@@ -2056,6 +2088,7 @@ impl Accelerator {
                     fault_count: d.u32()?,
                     faulted_at: d.u64()?,
                     quarantine_pending: d.bool()?,
+                    parked_on: None,
                 });
             }
             let tasks_executed = d.u64()?;
@@ -2312,9 +2345,12 @@ impl Accelerator {
     /// post-iteration state. Every component upholds the same contract
     /// (DESIGN §14): report the first future cycle at which it could
     /// change architectural state *or any counter*; activities that tick a
-    /// counter every cycle (retried grants, backpressured spawns, failing
-    /// steal probes, refill attempts) pin the result to `now + 1`, which
-    /// disables skipping rather than risk under-counting them.
+    /// counter every cycle (retried grants, failing steal probes, refill
+    /// attempts, a refused spawn not yet parked) pin the result to
+    /// `now + 1`, which disables skipping rather than risk under-counting
+    /// them. A spawner parked on a still-full queue is not an event: the
+    /// skip charges its stalls in bulk, and the completion that frees a
+    /// slot is itself a tile event.
     fn next_event_cycle(&self, now: u64, last_progress: u64) -> u64 {
         // The stall watchdog: the deadlock check fires (and its diagnosis
         // is taken) at an exact cycle, which skipping must preserve.
@@ -2386,6 +2422,14 @@ impl Accelerator {
                     // Classification boundary: StealStall ends here.
                     next = next.min(exec.steal_until);
                 }
+                if let Some(cu) = t.parked_unit() {
+                    if self.units[cu].free.is_empty() {
+                        continue;
+                    }
+                    // A slot came back after this tile's turn: it retries
+                    // next cycle.
+                    return now + 1;
+                }
                 if exec.block_start > now {
                     // Nodes are fresh until the block transition lands.
                     next = next.min(exec.block_start);
@@ -2417,8 +2461,8 @@ impl Accelerator {
                 }
                 if all_done {
                     // Only a backpressured detach holds a fully drained
-                    // instance on a tile; it retries (and counts a spawn
-                    // stall) every cycle.
+                    // instance on a tile; until it parks it retries (and
+                    // counts a spawn stall) every cycle.
                     return now + 1;
                 }
                 for (i, ns) in exec.nodes.iter().enumerate() {
@@ -3107,6 +3151,26 @@ impl Accelerator {
             // forward progress this cycle.
             return Ok(());
         }
+        if let Some(cu) = self.units[unit].tiles[tile].parked_unit() {
+            if self.units[cu].free.is_empty() {
+                // Still refused: the retry would change nothing but the
+                // stall counters, so charge them without re-running it.
+                debug_assert_eq!(
+                    self.units[unit].tiles[tile]
+                        .exec
+                        .as_ref()
+                        .and_then(|e| self.blocked_spawn_target(e, now)),
+                    Some(cu),
+                    "parked tile {unit}/{tile} no longer holds only a refused spawn"
+                );
+                self.units[cu].stats.spawn_stalls += 1;
+                self.units[cu].spawn_refused = true;
+                return Ok(());
+            }
+            // A slot is free: retry the spawn at this tile's usual place
+            // in advance order, so same-cycle slot races resolve as before.
+            self.units[unit].tiles[tile].parked_on = None;
+        }
         let Some(mut exec) = self.units[unit].tiles[tile].exec.take() else {
             return Ok(());
         };
@@ -3122,6 +3186,7 @@ impl Accelerator {
         let blk = &dfg.blocks[exec.block_idx];
 
         // Issue whatever has become ready.
+        let mut refused_call = None;
         for idx in 0..blk.nodes.len() {
             if exec.nodes[idx].issued {
                 continue;
@@ -3240,9 +3305,10 @@ impl Accelerator {
                                 self.progress = true;
                             } else {
                                 // Callee queue full: retry next cycle.
-                                self.units[home].stats.spawn_stalls += 1;
+                                self.units[callee_unit].stats.spawn_stalls += 1;
                                 self.units[callee_unit].spawn_refused = true;
                                 self.arg_buf = args;
+                                refused_call = Some(callee_unit);
                             }
                         }
                     }
@@ -3266,6 +3332,13 @@ impl Accelerator {
         // Terminator fires once every node in the block has drained.
         let all_done = exec.nodes.iter().all(|n| n.done(now));
         if !all_done {
+            if let Some(cu) = refused_call.filter(|_| self.parks_refused_spawns()) {
+                // Park only if the refused call is all this tile can do:
+                // its state is then frozen until the callee queue frees.
+                if self.blocked_spawn_target(&exec, now) == Some(cu) {
+                    self.units[unit].tiles[tile].park_on(cu);
+                }
+            }
             self.units[unit].tiles[tile].exec = Some(exec);
             return Ok(());
         }
@@ -3343,9 +3416,17 @@ impl Accelerator {
                             self.units[unit].tiles[tile].exec = Some(exec);
                             self.progress = true;
                         } else {
-                            // Ready-valid backpressure: retry next cycle.
+                            // Ready-valid backpressure: hold `valid` until
+                            // the child queue raises `ready`.
                             self.units[child_unit].stats.spawn_stalls += 1;
                             self.units[child_unit].spawn_refused = true;
+                            if self.parks_refused_spawns() {
+                                debug_assert_eq!(
+                                    self.blocked_spawn_target(&exec, now),
+                                    Some(child_unit)
+                                );
+                                self.units[unit].tiles[tile].park_on(child_unit);
+                            }
                             self.units[unit].tiles[tile].exec = Some(exec);
                             self.arg_buf = arg_vals;
                         }
@@ -3372,6 +3453,57 @@ impl Accelerator {
             }
         }
         Ok(())
+    }
+
+    /// Whether a refused spawn parks its tile (see [`Tile::parked_on`]).
+    /// Under fault injection a retry draws the fault RNG before the
+    /// capacity check, and under admission control it may spill, so those
+    /// runs keep the per-cycle retry.
+    fn parks_refused_spawns(&self) -> bool {
+        self.fault_rt.is_none() && self.cfg.admission.is_none()
+    }
+
+    /// The unit whose queue the context's only possible action spawns
+    /// into: a fully drained block ending in `Detach`, or a quiesced block
+    /// whose one ready, unissued node is a `CallSpawn`. `None` when any
+    /// node is in flight or anything else could issue. A context in this
+    /// state stays in it until the spawn is accepted, which is what makes
+    /// parking a refused spawner exact.
+    fn blocked_spawn_target(&self, exec: &Exec, now: u64) -> Option<usize> {
+        if now < exec.block_start {
+            return None;
+        }
+        let u = &self.units[exec.home];
+        let blk = &u.dfg.blocks[exec.block_idx];
+        let mut call = None;
+        let mut any_unissued = false;
+        for (ns, node) in exec.nodes.iter().zip(&blk.nodes) {
+            if ns.issued {
+                if !ns.done(now) {
+                    return None;
+                }
+                continue;
+            }
+            any_unissued = true;
+            if !self.deps_ready(node, exec, now) {
+                continue;
+            }
+            match node.op {
+                NodeOp::CallSpawn { callee } if call.is_none() => {
+                    call = Some(self.func_root[callee.0 as usize]);
+                }
+                _ => return None,
+            }
+        }
+        if call.is_some() {
+            return call;
+        }
+        match &blk.term {
+            TermInfo::Detach { child, .. } if !any_unissued => {
+                Some(self.unit_of[u.func.0 as usize][child.0 as usize])
+            }
+            _ => None,
+        }
     }
 
     fn enter_block(&self, exec: &mut Exec, unit: usize, block: BlockId, at: u64) {
@@ -3471,8 +3603,8 @@ impl Accelerator {
     }
 
     /// Evaluate a spawn's arguments into the vector a refused spawn handed
-    /// back, so a spawn stalled on a full queue retries every cycle
-    /// without allocating.
+    /// back, so retrying a spawn refused by a full queue does not
+    /// allocate.
     fn spawn_args(&mut self, operands: &[Operand], exec: &Exec) -> Vec<Val> {
         let mut args = std::mem::take(&mut self.arg_buf);
         args.clear();
