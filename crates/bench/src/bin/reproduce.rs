@@ -186,14 +186,14 @@ fn main() {
     }
     let which = positional.first().map(String::as_str).unwrap_or("all").to_string();
 
-    // Replaying a minimized fuzzsim repro skips the campaign entirely:
-    // regenerate the program from the line's seed and check exactly the
-    // configuration it names.
+    // Replaying a minimized repro line (from any differential, chaos or
+    // fuzzsim failure) skips the campaign entirely: rebuild the program
+    // the line names and check exactly the sample it names.
     if let Some(line) = &flags.repro {
         if which != "fuzzsim" {
             usage_exit("reproduce: --repro is a fuzzsim flag (reproduce fuzzsim --repro \"...\")");
         }
-        match tapas_integration::fuzz::replay_repro(line) {
+        match tapas_integration::replay_repro(line) {
             Ok(()) => {
                 println!("repro: clean (no divergence)");
                 return;

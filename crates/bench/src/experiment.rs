@@ -20,11 +20,8 @@ use crate::experiments as exp;
 use crate::json::{self, FromJson, JsonValue, ToJson};
 use std::fmt::Write as _;
 use tapas_exec as exec;
+use tapas_integration::SWEEP_SEED;
 use tapas_workloads::{suite_eval, suite_small, BuiltWorkload};
-
-/// Fixed seed of the differential, chaos and fuzzsim campaigns, shared
-/// with `tests/differential.rs`.
-pub const SWEEP_SEED: u64 = 0x7A9A_5CAF;
 
 /// What one experiment run produced.
 pub struct ExperimentReport {
@@ -505,18 +502,27 @@ fn stress_cells(_opts: &RunOpts) -> Vec<exec::Cell<JsonValue>> {
     cells
 }
 
+/// Load a harness cell's program and check its samples.
+fn run_harness_cell(
+    c: &tapas_integration::Cell,
+    snapshot: Option<(&std::path::Path, u64)>,
+) -> Result<(tapas_integration::Program, u64), String> {
+    let program = c.source.load()?;
+    let checks = c.run(&program, snapshot)?;
+    Ok((program, checks as u64))
+}
+
 fn differential_cells(_opts: &RunOpts) -> Vec<exec::Cell<JsonValue>> {
     tapas_integration::differential_cells(SWEEP_SEED, 3)
         .into_iter()
         .map(|c| {
-            let id = format!("differential/{}", c.workload);
-            cell(id, move || {
-                let checks = tapas_integration::run_differential_cell(&c)?;
+            cell(format!("differential/{}", c.source), move || {
+                let (_, checks) = run_harness_cell(&c, None)?;
                 Ok(vec![exp::DifferentialRow {
-                    workload: c.workload.clone(),
+                    workload: c.source.to_string(),
                     seed: format!("{:#x}", c.seed),
                     samples: c.samples as u64,
-                    checks: checks as u64,
+                    checks,
                 }])
             })
         })
@@ -527,18 +533,18 @@ fn chaos_cells(_opts: &RunOpts) -> Vec<exec::Cell<JsonValue>> {
     tapas_integration::chaos_cells(SWEEP_SEED, 2)
         .into_iter()
         .map(|c| {
-            let id = format!("chaos/{}", c.workload);
+            let id = format!("chaos/{}", c.source);
             // Resumable: with `--snapshot-every N` the executor hands the
             // cell a stable snapshot path, and each trial's killed run is
             // additionally verified through the on-disk ladder.
             exec::Cell::resumable(id, move |ctx: &exec::CellCtx| {
-                let spec = ctx.snapshot.as_ref().map(|s| (s.path.clone(), s.every));
-                let verified = tapas_integration::run_chaos_cell_with(&c, spec)?;
+                let spec = ctx.snapshot.as_ref().map(|s| (s.path.as_path(), s.every));
+                let (_, verified) = run_harness_cell(&c, spec)?;
                 payload(vec![exp::ChaosRow {
-                    workload: c.workload.clone(),
+                    workload: c.source.to_string(),
                     seed: format!("{:#x}", c.seed),
-                    trials: c.trials as u64,
-                    verified: verified as u64,
+                    trials: c.samples as u64,
+                    verified,
                 }])
             })
         })
@@ -550,14 +556,13 @@ fn fuzzsim_cells(opts: &RunOpts) -> Vec<exec::Cell<JsonValue>> {
     tapas_integration::fuzz::fuzz_cells(SWEEP_SEED, seeds, FUZZ_CONFIGS_PER_SEED)
         .into_iter()
         .map(|c| {
-            let id = format!("fuzzsim/gen/{:#x}", c.seed);
-            cell(id, move || {
-                let report = tapas_integration::fuzz::run_fuzz_cell(&c)?;
+            cell(format!("fuzzsim/gen/{}", c.source), move || {
+                let (program, checks) = run_harness_cell(&c, None)?;
                 Ok(vec![exp::FuzzRow {
-                    seed: format!("{:#x}", c.seed),
-                    shape: report.shape,
-                    configs: c.configs as u64,
-                    checks: report.checks as u64,
+                    seed: c.source.to_string(),
+                    shape: program.shape.to_string(),
+                    configs: c.samples as u64,
+                    checks,
                 }])
             })
         })

@@ -262,10 +262,12 @@ pub struct Fig16Row {
 /// Fig. 16 rows for one benchmark, on both boards.
 pub fn fig16_rows(wl: &BuiltWorkload) -> Vec<Fig16Row> {
     let i7 = i7_seconds(wl, 4);
+    // Cycles do not depend on the board: one simulation serves both.
+    let cycles = simulate(wl, 4, ntasks_for(wl)).cycles as f64;
     [Board::CycloneV, Board::Arria10]
         .into_iter()
         .map(|board| {
-            let (fpga, _) = seconds_on_board(wl, 4, board);
+            let fpga = cycles / (estimate(wl, 4, board).fmax_mhz * 1e6);
             Fig16Row {
                 name: wl.name.clone(),
                 board: format!("{board:?}"),
@@ -345,12 +347,12 @@ pub struct Fig17Row {
 /// sides, as in the paper).
 pub fn fig17_rows(wl: &BuiltWorkload) -> Vec<Fig17Row> {
     let i7 = i7_seconds(wl, 4);
+    let cycles = simulate(wl, 4, ntasks_for(wl)).cycles as f64;
     [Board::CycloneV, Board::Arria10]
         .into_iter()
         .map(|board| {
-            let tiles = 4;
-            let (fpga, _) = seconds_on_board(wl, tiles, board);
-            let est = estimate(wl, tiles, board);
+            let est = estimate(wl, 4, board);
+            let fpga = cycles / (est.fmax_mhz * 1e6);
             let fpga_w = res::power_watts(&est, est.fmax_mhz);
             let gain = (i7 / fpga) * (res::I7_PACKAGE_WATTS / fpga_w);
             Fig17Row {

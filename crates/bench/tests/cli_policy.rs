@@ -89,19 +89,26 @@ fn malformed_repro_line_exits_nonzero() {
 
 #[test]
 fn clean_repro_line_replays_and_reports_clean() {
-    // A baseline config for seed 0 must pass on a healthy engine — and the
-    // replay path prints its verdict on stdout for scripting.
-    let line = "seed=0x0 steal=off banks=1 tiles=1 ntasks=256 admission=false \
-                engine=event faults=off kill=off";
-    let out = reproduce(&["fuzzsim", "--repro", line]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "clean repro must exit 0; stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(stdout.contains("repro: clean"), "stdout: {stdout}");
+    // A baseline config for seed 0 must pass on a healthy engine, and so
+    // must a suite workload's line (as a differential or chaos failure
+    // prints it) — and the replay path prints its verdict on stdout for
+    // scripting.
+    for line in [
+        "seed=0x0 steal=off banks=1 tiles=1 ntasks=256 admission=false \
+         engine=event faults=off kill=off profile=off",
+        "workload=fib steal=2 banks=4 tiles=2 ntasks=4 admission=true \
+         engine=event faults=off kill=0x2a profile=summary",
+    ] {
+        let out = reproduce(&["fuzzsim", "--repro", line]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "clean repro must exit 0; stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains("repro: clean"), "stdout: {stdout}");
+    }
 }
 
 #[test]

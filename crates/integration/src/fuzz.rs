@@ -1,165 +1,46 @@
-//! Differential fuzzing campaign over generated task-graph traffic.
+//! The generated-program source: differential fuzzing over `tapas-gen`
+//! task-graph traffic.
 //!
 //! [`tapas_gen::generate`] turns a 64-bit seed into a race-free-by-
-//! construction IR program; this module runs every generated program
-//! against the interpreter golden model under sampled feature
-//! configurations spanning the whole engine matrix: steal × banks ×
-//! tiles × queue depth × admission × engine core (event-driven vs
-//! stepped) × fault injection × snapshot-kill-resume.
-//!
-//! The campaign decomposes into [`FuzzCell`]s — one generated program
-//! per cell, each with its own decorrelated config-sample stream — so
-//! the `tapas-exec` sharded executor can run, retry, checkpoint and
-//! resume them like any other sweep. A divergence is greedily
-//! [minimized][minimize_fuzz] and rendered as a one-line repro string
-//! that [`replay_repro`] (and `reproduce fuzzsim --repro`) can re-run
-//! verbatim.
+//! construction IR program. A fuzzing campaign is one [`Cell`] per
+//! generated program, each sampling the whole engine matrix (see
+//! [`Campaign::Fuzz`]) from its own decorrelated stream, and checked by
+//! the same oracles, minimizer and repro line as every other campaign.
 
-use crate::{chaos_check, minimize, simulate, ConfigSample};
-use tapas::{AcceleratorConfig, FaultPlan};
-use tapas_analyze::AnalysisReport;
-use tapas_gen::GeneratedProgram;
+use crate::{Campaign, Cell, Program, Source};
+use tapas_ir::interp::{self, InterpConfig};
 use tapas_workloads::rng::SplitMix64;
-use tapas_workloads::BuiltWorkload;
-
-/// A test-only mutation hook: corrupts a simulator output region before
-/// the golden comparison, standing in for an engine bug so the campaign's
-/// catch-and-minimize path stays provably live.
-pub type MutationHook<'a> = &'a dyn Fn(&mut Vec<u8>);
-
-/// One sampled point of the full feature matrix for a generated program.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuzzSample {
-    /// The performance-knob sample (steal × banks × tiles × ntasks ×
-    /// admission) shared with the hand-written differential sweep.
-    pub cfg: ConfigSample,
-    /// Run on the stepped (cycle-by-cycle) engine core instead of the
-    /// event-driven default.
-    pub stepped: bool,
-    /// Arm a seeded random [`FaultPlan`] with full tolerance; a detected
-    /// fault (an `Err` outcome) is acceptable, a *silent* wrong output is
-    /// a divergence — the masked-or-detected-never-silent invariant.
-    pub faults: Option<u64>,
-    /// Kill the run at a salt-derived cycle and require the
-    /// snapshot-resumed run to match the uninterrupted one byte-for-byte.
-    pub kill: Option<u64>,
-}
-
-impl FuzzSample {
-    /// The plain baseline every cell checks first: every knob off, deep
-    /// queue, event-driven core. If this diverges, the program itself —
-    /// not a feature interaction — is the repro.
-    pub fn baseline() -> FuzzSample {
-        FuzzSample {
-            cfg: ConfigSample {
-                steal_latency: None,
-                banks: 1,
-                tiles: 1,
-                ntasks: 256,
-                admission: false,
-            },
-            stepped: false,
-            faults: None,
-            kill: None,
-        }
-    }
-
-    /// Draw one sample. The performance knobs reuse
-    /// [`ConfigSample::draw`]; the queue depth is then checked against the
-    /// program's own static occupancy bound and floored at
-    /// `min_safe_ntasks` so a generated recursion can never convert a
-    /// sampled config into a structural deadlock. The fault and kill
-    /// dimensions are mutually exclusive (a kill trial needs a clean
-    /// golden run to diff against).
-    pub fn draw(rng: &mut SplitMix64, recursive: bool, report: &AnalysisReport) -> FuzzSample {
-        let mut cfg = ConfigSample::draw(rng, recursive);
-        if !report.check_config(cfg.ntasks as u64, cfg.admission).safe {
-            if let Some(need) = report.min_safe_ntasks {
-                cfg.ntasks = cfg.ntasks.max(need as usize);
-            }
-        }
-        let stepped = rng.chance(1, 4);
-        let (faults, kill) = match rng.next_below(4) {
-            0 => (Some(rng.next_u64()), None),
-            1 => (None, Some(rng.next_u64())),
-            _ => (None, None),
-        };
-        FuzzSample { cfg, stepped, faults, kill }
-    }
-
-    /// Materialize the accelerator configuration for this sample.
-    pub fn accelerator_config(&self, wl: &BuiltWorkload) -> AcceleratorConfig {
-        let mut cfg = self.cfg.config(wl);
-        if self.stepped {
-            cfg.event_driven = false;
-        }
-        if let Some(fault_seed) = self.faults {
-            cfg.faults = Some(FaultPlan::random(fault_seed));
-        }
-        cfg
-    }
-
-    /// The one-line repro string: the generator seed plus every sampled
-    /// knob, parseable by [`parse_repro`].
-    pub fn repro(&self, seed: u64, workload: &str) -> String {
-        format!(
-            "seed={seed:#x} {} engine={} faults={} kill={}",
-            self.cfg.repro(workload),
-            if self.stepped { "stepped" } else { "event" },
-            self.faults.map_or("off".to_string(), |s| format!("{s:#x}")),
-            self.kill.map_or("off".to_string(), |s| format!("{s:#x}")),
-        )
-    }
-}
-
-/// One shardable slice of the fuzzing campaign: a generated program (by
-/// seed) and how many feature configurations to sample against it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuzzCell {
-    /// The program-generation seed; [`tapas_gen::generate`] turns it into
-    /// the cell's traffic program.
-    pub seed: u64,
-    /// Feature configurations to sample (the first is always the plain
-    /// [`FuzzSample::baseline`]).
-    pub configs: usize,
-}
-
-/// What one fuzz cell verified, for campaign reporting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuzzReport {
-    /// The generated program's shape family name.
-    pub shape: String,
-    /// Golden-model comparisons performed (== the cell's `configs`).
-    pub checks: usize,
-}
 
 /// Decompose a campaign of `seeds` generated programs into cells. Each
 /// cell's program seed is derived from `base_seed` and its index through
 /// an extra SplitMix64 scramble (a constant distinct from the
 /// differential and chaos sweeps'), so campaign streams are decorrelated
-/// from everything else while staying a pure function of `base_seed`.
-pub fn fuzz_cells(base_seed: u64, seeds: usize, configs_per_seed: usize) -> Vec<FuzzCell> {
+/// from everything else while staying a pure function of `base_seed`. The
+/// sample stream is scrambled away from the generation stream, so the
+/// program and its sampled configurations stay independent draws.
+pub fn fuzz_cells(base_seed: u64, seeds: usize, configs_per_seed: usize) -> Vec<Cell> {
     (0..seeds as u64)
-        .map(|i| FuzzCell {
-            seed: SplitMix64::new(base_seed ^ (i + 1).wrapping_mul(0x2545_f491_4f6c_dd1d))
-                .next_u64(),
-            configs: configs_per_seed,
+        .map(|i| {
+            let seed =
+                SplitMix64::new(base_seed ^ (i + 1).wrapping_mul(0x2545_f491_4f6c_dd1d)).next_u64();
+            Cell {
+                campaign: Campaign::Fuzz,
+                source: Source::Gen(seed),
+                seed: seed ^ 0xd1b5_4a32_d192_ed03,
+                samples: configs_per_seed,
+            }
         })
         .collect()
 }
 
-/// Generate the cell's program and establish its ground truth: lint
-/// cleanliness, a race-free interpreter golden run (SP-bags armed), and
-/// the static occupancy report that keeps sampled queue depths safe.
-fn prepare(seed: u64) -> Result<(GeneratedProgram, Vec<u8>, AnalysisReport), String> {
+/// Generate the program for `seed` and establish its ground truth: lint
+/// cleanliness and a race-free interpreter golden run (SP-bags armed).
+pub(crate) fn generated(seed: u64) -> Result<Program, String> {
     let g = tapas_gen::generate(seed);
     tapas_gen::lint_clean(&g.wl).map_err(|e| format!("seed={seed:#x}: lint: {e}"))?;
     let mut mem = g.wl.mem.clone();
-    let icfg = tapas_ir::interp::InterpConfig {
-        detect_races: true,
-        ..tapas_ir::interp::InterpConfig::default()
-    };
-    let out = tapas_ir::interp::run(&g.wl.module, g.wl.func, &g.wl.args, &mut mem, &icfg)
+    let icfg = InterpConfig { detect_races: true, ..InterpConfig::default() };
+    let out = interp::run(&g.wl.module, g.wl.func, &g.wl.args, &mut mem, &icfg)
         .map_err(|e| format!("seed={seed:#x}: interpreter golden run: {e}"))?;
     if !out.races.is_empty() {
         return Err(format!(
@@ -168,230 +49,13 @@ fn prepare(seed: u64) -> Result<(GeneratedProgram, Vec<u8>, AnalysisReport), Str
         ));
     }
     let golden = g.wl.output_of(&mem).to_vec();
-    let report = tapas_analyze::analyze(&g.wl.module, g.wl.func, &g.wl.args)
-        .map_err(|e| format!("seed={seed:#x}: static analysis: {e}"))?;
-    Ok((g, golden, report))
-}
-
-/// Check one program × sample against the interpreter golden model.
-///
-/// * Plain samples: the simulator output region must be byte-identical to
-///   `golden`.
-/// * Fault-armed samples: an `Err` outcome counts as *detected* and
-///   passes; an `Ok` outcome must still match `golden` (*masked*). Only a
-///   silent wrong output fails.
-/// * Kill samples: additionally run the kill-and-resume trial
-///   ([`chaos_check`]) before the plain comparison.
-///
-/// `mutate` (tests only) corrupts the simulator output before comparison.
-fn check_fuzz_sample(
-    wl: &BuiltWorkload,
-    golden: &[u8],
-    seed: u64,
-    s: &FuzzSample,
-    mutate: Option<MutationHook<'_>>,
-) -> Result<(), String> {
-    let repro = || s.repro(seed, &wl.name);
-    let cfg = s.accelerator_config(wl);
-    if let Some(salt) = s.kill {
-        chaos_check(wl, &cfg, salt).map_err(|e| format!("{}: kill-resume: {e}", repro()))?;
-    }
-    match simulate(wl, &cfg) {
-        Ok(mut run) => {
-            if let Some(hook) = mutate {
-                hook(&mut run.output);
-            }
-            if run.output != golden {
-                return Err(format!("{}: output diverged from interpreter golden model", repro()));
-            }
-            Ok(())
-        }
-        // A fault-armed run may end in a *detected* error — that is the
-        // tolerance machinery doing its job. Anything else is a failure.
-        Err(_) if s.faults.is_some() => Ok(()),
-        Err(e) => Err(format!("{}: {e}", repro())),
-    }
-}
-
-/// Greedily minimize a failing sample: first strip whole dimensions
-/// (kill, faults, stepped core), then simplify the performance knobs with
-/// the same mutations as [`minimize`]. Keeps any mutation that still
-/// fails, so the result is the simplest sample reproducing the failure.
-pub fn minimize_fuzz<F: Fn(&FuzzSample) -> bool>(sample: &FuzzSample, fails: &F) -> FuzzSample {
-    let mut best = sample.clone();
-    loop {
-        let mut candidates = Vec::new();
-        if best.kill.is_some() {
-            candidates.push(FuzzSample { kill: None, ..best.clone() });
-        }
-        if best.faults.is_some() {
-            candidates.push(FuzzSample { faults: None, ..best.clone() });
-        }
-        if best.stepped {
-            candidates.push(FuzzSample { stepped: false, ..best.clone() });
-        }
-        match candidates.into_iter().find(|c| fails(c)) {
-            Some(simpler) => best = simpler,
-            None => {
-                // Dimensions are as simple as they get; now shrink the
-                // performance knobs (ntasks only ever grows toward 256,
-                // which every generated program's occupancy bound admits).
-                let cfg = minimize(&best.cfg, &|c: &ConfigSample| {
-                    fails(&FuzzSample { cfg: c.clone(), ..best.clone() })
-                });
-                if cfg == best.cfg {
-                    return best;
-                }
-                best.cfg = cfg;
-            }
-        }
-    }
-}
-
-/// Run one fuzz cell: generate, lint, golden-run, then sample and check
-/// `configs` feature configurations (baseline first).
-///
-/// # Errors
-///
-/// The first failing sample is minimized and rendered as
-/// `"...\nminimized repro: <one-line string>"` — the line replays with
-/// [`replay_repro`].
-pub fn run_fuzz_cell(cell: &FuzzCell) -> Result<FuzzReport, String> {
-    run_fuzz_cell_with(cell, None)
-}
-
-/// [`run_fuzz_cell`] with the test-only output-mutation hook.
-pub fn run_fuzz_cell_with(
-    cell: &FuzzCell,
-    mutate: Option<MutationHook<'_>>,
-) -> Result<FuzzReport, String> {
-    let (g, golden, report) = prepare(cell.seed)?;
-    // The config stream is scrambled away from the generation stream so
-    // the program and its sampled configs stay independent draws.
-    let mut rng = SplitMix64::new(cell.seed ^ 0xd1b5_4a32_d192_ed03);
-    let mut checks = 0usize;
-    for i in 0..cell.configs {
-        let s = if i == 0 {
-            FuzzSample::baseline()
-        } else {
-            FuzzSample::draw(&mut rng, g.shape.is_recursive(), &report)
-        };
-        if let Err(err) = check_fuzz_sample(&g.wl, &golden, cell.seed, &s, mutate) {
-            let minimized = minimize_fuzz(&s, &|c: &FuzzSample| {
-                check_fuzz_sample(&g.wl, &golden, cell.seed, c, mutate).is_err()
-            });
-            return Err(format!(
-                "fuzz cell failed ({} {}): {err}\nminimized repro: {}",
-                g.shape.name(),
-                g.descriptor,
-                minimized.repro(cell.seed, &g.wl.name)
-            ));
-        }
-        checks += 1;
-    }
-    Ok(FuzzReport { shape: g.shape.name().to_string(), checks })
-}
-
-fn parse_u64(key: &str, v: &str) -> Result<u64, String> {
-    let parsed = match v.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => v.parse(),
-    };
-    parsed.map_err(|_| format!("repro: bad value for {key}: `{v}`"))
-}
-
-fn parse_opt_u64(key: &str, v: &str) -> Result<Option<u64>, String> {
-    if v == "off" {
-        Ok(None)
-    } else {
-        parse_u64(key, v).map(Some)
-    }
-}
-
-/// Parse a one-line repro string produced by [`FuzzSample::repro`] back
-/// into the generator seed and the sample.
-///
-/// # Errors
-///
-/// Missing keys, unknown keys and malformed values are all rendered into
-/// the error string.
-pub fn parse_repro(line: &str) -> Result<(u64, FuzzSample), String> {
-    let mut seed = None;
-    let mut workload = None;
-    let mut steal = None;
-    let mut banks = None;
-    let mut tiles = None;
-    let mut ntasks = None;
-    let mut admission = None;
-    let mut engine = None;
-    let mut faults = None;
-    let mut kill = None;
-    for tok in line.split_whitespace() {
-        let (k, v) =
-            tok.split_once('=').ok_or_else(|| format!("repro: `{tok}` is not key=value"))?;
-        match k {
-            "seed" => seed = Some(parse_u64(k, v)?),
-            "workload" => workload = Some(v.to_string()),
-            "steal" => steal = Some(parse_opt_u64(k, v)?),
-            "banks" => banks = Some(parse_u64(k, v)? as usize),
-            "tiles" => tiles = Some(parse_u64(k, v)? as usize),
-            "ntasks" => ntasks = Some(parse_u64(k, v)? as usize),
-            "admission" => {
-                admission = Some(
-                    v.parse::<bool>()
-                        .map_err(|_| format!("repro: bad value for admission: `{v}`"))?,
-                )
-            }
-            "engine" => match v {
-                "event" => engine = Some(false),
-                "stepped" => engine = Some(true),
-                _ => return Err(format!("repro: engine must be event|stepped, got `{v}`")),
-            },
-            "faults" => faults = Some(parse_opt_u64(k, v)?),
-            "kill" => kill = Some(parse_opt_u64(k, v)?),
-            _ => return Err(format!("repro: unknown key `{k}`")),
-        }
-    }
-    let missing = |what: &str| format!("repro: missing {what}=");
-    let sample = FuzzSample {
-        cfg: ConfigSample {
-            steal_latency: steal.ok_or_else(|| missing("steal"))?,
-            banks: banks.ok_or_else(|| missing("banks"))?,
-            tiles: tiles.ok_or_else(|| missing("tiles"))?,
-            ntasks: ntasks.ok_or_else(|| missing("ntasks"))?,
-            admission: admission.ok_or_else(|| missing("admission"))?,
-        },
-        stepped: engine.ok_or_else(|| missing("engine"))?,
-        faults: faults.ok_or_else(|| missing("faults"))?,
-        kill: kill.ok_or_else(|| missing("kill"))?,
-    };
-    let seed = seed.ok_or_else(|| missing("seed"))?;
-    if let Some(w) = workload {
-        let expect = tapas_gen::generate(seed).wl.name;
-        if w != expect {
-            return Err(format!(
-                "repro: workload `{w}` does not match seed {seed:#x} (generates `{expect}`)"
-            ));
-        }
-    }
-    Ok((seed, sample))
-}
-
-/// Re-run a one-line repro string: regenerate the program from its seed
-/// and check the exact sampled configuration.
-///
-/// # Errors
-///
-/// A parse failure, or the divergence itself if it still reproduces.
-pub fn replay_repro(line: &str) -> Result<(), String> {
-    let (seed, sample) = parse_repro(line)?;
-    let (g, golden, _) = prepare(seed)?;
-    check_fuzz_sample(&g.wl, &golden, seed, &sample, None)
+    Program::new(Source::Gen(seed), g.wl, golden, g.shape.name(), g.descriptor)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{parse_repro, replay_repro, Sample, SWEEP_SEED};
 
     #[test]
     fn cells_are_deterministic_and_decorrelated() {
@@ -401,28 +65,25 @@ mod tests {
         let mut seeds: Vec<u64> = cells.iter().map(|c| c.seed).collect();
         seeds.sort_unstable();
         seeds.dedup();
-        assert_eq!(seeds.len(), cells.len(), "per-cell program seeds must differ");
-        assert_ne!(cells[0].seed, fuzz_cells(0xF0CC_5EEE, 8, 4)[0].seed);
+        assert_eq!(seeds.len(), cells.len(), "per-cell streams must differ");
+        assert_ne!(cells[0].source, fuzz_cells(0xF0CC_5EEE, 8, 4)[0].source);
     }
 
     #[test]
     fn repro_string_round_trips() {
-        let s = FuzzSample {
-            cfg: ConfigSample {
-                steal_latency: Some(3),
-                banks: 4,
-                tiles: 2,
-                ntasks: 32,
-                admission: true,
-            },
+        let s = Sample {
+            steal_latency: Some(3),
+            banks: 4,
+            tiles: 2,
+            ntasks: 32,
+            admission: true,
             stepped: true,
             faults: None,
             kill: Some(0xbeef),
+            profile: true,
         };
-        let line = s.repro(0x2a, "gen-nest");
-        let (seed, parsed) = parse_repro(&line).expect("round trip parses");
-        assert_eq!(seed, 0x2a);
-        assert_eq!(parsed, s);
+        let line = s.repro(&Source::Gen(0x2a), "gen-nest");
+        assert_eq!(parse_repro(&line), Ok((Source::Gen(0x2a), s)));
     }
 
     #[test]
@@ -431,80 +92,67 @@ mod tests {
         assert!(parse_repro("seed=0x1 bogus=3").unwrap_err().contains("unknown key"));
         assert!(parse_repro("seed=zz steal=off").unwrap_err().contains("bad value"));
         assert!(parse_repro(
+            "seed=0x1 steal=off banks=1 tiles=1 ntasks=8 admission=false \
+             engine=warp faults=off kill=off profile=off"
+        )
+        .unwrap_err()
+        .contains("event|stepped"));
+        assert!(parse_repro(
             "steal=off banks=1 tiles=1 ntasks=8 admission=false \
-                             engine=event faults=off kill=off"
+             engine=event faults=off kill=off profile=off"
         )
         .unwrap_err()
         .contains("missing seed"));
         // A workload that contradicts what the seed generates is a typo.
         assert!(parse_repro(
             "seed=0x0 workload=gen-nope steal=off banks=1 tiles=1 ntasks=8 \
-             admission=false engine=event faults=off kill=off"
+             admission=false engine=event faults=off kill=off profile=off"
         )
         .unwrap_err()
         .contains("does not match seed"));
+        // A line the builder rejects is an error, not a panic.
+        assert!(replay_repro(
+            "seed=0x0 steal=off banks=1 tiles=0 ntasks=8 \
+             admission=false engine=event faults=off kill=off profile=off"
+        )
+        .unwrap_err()
+        .contains("config"));
     }
 
     #[test]
     fn injected_divergence_is_caught_and_minimized_to_a_replayable_line() {
         let cell = fuzz_cells(0xF0CC_5EED, 1, 3).remove(0);
+        let mut program = cell.source.load().expect("generated program loads");
         // Sanity: the cell passes clean.
-        run_fuzz_cell(&cell).expect("clean cell must pass");
-        // Inject a single-bit output corruption through the test hook.
-        let hook: MutationHook<'_> = &|out: &mut Vec<u8>| {
-            if let Some(b) = out.first_mut() {
-                *b ^= 1;
-            }
-        };
-        let err = run_fuzz_cell_with(&cell, Some(hook)).expect_err("mutated output must be caught");
+        cell.run(&program, None).expect("clean cell must pass");
+        // Stand in for an engine bug: corrupt one bit of the golden output,
+        // so every simulated output now disagrees with it.
+        program.golden[0] ^= 1;
+        let err = cell.run(&program, None).expect_err("the divergence must be caught");
         assert!(err.contains("diverged from interpreter golden model"), "err: {err}");
         let line = err
             .lines()
             .find_map(|l| l.strip_prefix("minimized repro: "))
             .expect("failure must carry a minimized repro line");
-        // The minimized line parses, names the cell's seed, and — with the
-        // mutation hook gone — replays clean (the injected bug is not in
-        // the engine).
-        let (seed, sample) = parse_repro(line).expect("repro line must parse");
-        assert_eq!(seed, cell.seed);
+        // The minimized line parses, names the cell's program, and — with
+        // the real golden output — replays clean (the injected bug is not
+        // in the engine).
+        let (source, sample) = parse_repro(line).expect("repro line must parse");
+        assert_eq!(source, cell.source);
         assert_eq!(sample.kill, None, "minimizer must strip the kill dimension");
         assert_eq!(sample.faults, None, "minimizer must strip the fault dimension");
         replay_repro(line).expect("repro without the injected mutation is clean");
     }
 
     #[test]
-    fn minimize_fuzz_strips_irrelevant_dimensions() {
-        let sample = FuzzSample {
-            cfg: ConfigSample {
-                steal_latency: Some(5),
-                banks: 4,
-                tiles: 3,
-                ntasks: 512,
-                admission: true,
-            },
-            stepped: true,
-            faults: Some(1),
-            kill: Some(2),
-        };
-        // Synthetic failure that only depends on the stepped core.
-        let min = minimize_fuzz(&sample, &|s: &FuzzSample| s.stepped);
-        assert!(min.stepped, "the failing dimension survives");
-        assert_eq!(min.faults, None);
-        assert_eq!(min.kill, None);
-        assert_eq!(min.cfg.steal_latency, None);
-        assert_eq!(min.cfg.banks, 1);
-        assert_eq!(min.cfg.tiles, 1);
-        assert!(!min.cfg.admission);
-    }
-
-    #[test]
     fn a_small_campaign_passes_across_the_feature_matrix() {
         // Enough cells that the shape and dimension draws are all hit at
         // least once (kill, faults, stepped, admission...).
-        for cell in fuzz_cells(0x7A9A_5CAF, 6, 4) {
-            let report =
-                run_fuzz_cell(&cell).unwrap_or_else(|e| panic!("cell seed={:#x}: {e}", cell.seed));
-            assert_eq!(report.checks, 4);
+        for cell in fuzz_cells(SWEEP_SEED, 6, 4) {
+            let program = cell.source.load().unwrap_or_else(|e| panic!("{}: {e}", cell.source));
+            let checks =
+                cell.run(&program, None).unwrap_or_else(|e| panic!("{}: {e}", cell.source));
+            assert_eq!(checks, 4);
         }
     }
 }

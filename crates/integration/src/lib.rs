@@ -1,35 +1,168 @@
 #![warn(missing_docs)]
 
-//! Differential test harness for the accelerator's opt-in performance
-//! knobs (cross-unit work stealing, banked L1).
+//! One differential harness: the generated accelerator must compute what
+//! the parallel program computes, under any sampled configuration.
 //!
-//! The harness draws seeded random configuration samples — steal on/off ×
-//! banks ∈ {1, 2, 4} × tiles × queue depth × admission control — and for
-//! every workload × sample asserts two properties:
+//! Every campaign is a list of [`Cell`]s. A cell names a program
+//! [`Source`] (a small-suite workload, or a `tapas-gen` seed), its own
+//! sample-stream seed and a [`Campaign`], which decides only how the
+//! cell's [`Sample`]s are drawn:
 //!
-//! 1. **Functional**: the simulator's output region is byte-identical to
-//!    the interpreter golden model.
-//! 2. **Timing opt-in**: a sample with both features disabled is
-//!    cycle-identical to the *seed twin* — the same configuration built
-//!    without ever touching the `steal`/`l1_banks` knobs — proving the
-//!    new plumbing is free when off.
+//! * `differential`: steal × banks × tiles × queue depth × admission;
+//! * `chaos`: the same knobs plus a profiler draw and a kill point;
+//! * `fuzz` (generated programs): the knobs, the engine core, and a fault
+//!   plan or a kill point.
 //!
-//! A failing sample is greedily [minimized][minimize] and reported as a
-//! one-line repro string (workload, seed and every knob), so a CI failure
-//! can be replayed directly with [`check_sample`].
+//! A cell loads its [`Program`] once: the workload, its interpreter golden
+//! output, its static [`AnalysisReport`] and its compiled design, which
+//! every simulation of the cell instantiates. [`check_sample`] applies
+//! the oracles the sample calls for, whatever campaign drew it:
+//!
+//! 1. **Functional**: the output region equals the interpreter golden.
+//! 2. **Timing opt-in**: a fault-free sample with stealing off and one L1
+//!    bank is cycle-identical to its *seed twin*, the same configuration
+//!    built without touching the `steal`/`l1_banks` knobs and run on the
+//!    stepped core.
+//! 3. **Masked or detected**: with faults armed, a run that stops with a
+//!    typed error passes (detected); one that completes must still match
+//!    golden (masked). Only a silent wrong output fails.
+//! 4. **Kill and resume**: a kill sample's run, killed at a seeded cycle
+//!    and resumed from its snapshot, is byte-identical to the
+//!    uninterrupted run, which is the run oracle 1 compared with golden.
+//!
+//! A failing sample is greedily [minimized][minimize], never across the
+//! analyzer's deadlock boundary, and rendered as one repro line that
+//! [`replay_repro`] (and `reproduce fuzzsim --repro`) re-runs.
 
 pub mod fuzz;
 
+use std::fmt;
+use std::path::Path;
+
 use tapas::{
-    AcceleratorConfig, AdmissionControl, EngineSnapshot, ProfileLevel, SimError, SnapshotConfig,
-    StealConfig, Toolchain,
+    Accelerator, AcceleratorConfig, AdmissionControl, AnalysisReport, CompiledDesign,
+    EngineSnapshot, FaultPlan, ProfileLevel, SimError, SimOutcome, SnapshotConfig, StealConfig,
+    Toolchain,
 };
 use tapas_workloads::rng::SplitMix64;
 use tapas_workloads::{suite_small, BuiltWorkload};
 
-/// One sampled accelerator configuration, small enough to print whole.
+/// The fixed seed of the differential, chaos and fuzzing campaigns.
+pub const SWEEP_SEED: u64 = 0x7A9A_5CAF;
+
+/// Where a cell's program comes from; a repro line names it the same way.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigSample {
+pub enum Source {
+    /// A hand-written workload, by name: the small suite plus the deep
+    /// spawn chain `deeprec` of the boundary sweep.
+    Suite(String),
+    /// A generated program, by its [`tapas_gen::generate`] seed.
+    Gen(u64),
+}
+
+impl fmt::Display for Source {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Source::Suite(name) => f.write_str(name),
+            Source::Gen(seed) => write!(f, "{seed:#x}"),
+        }
+    }
+}
+
+/// The hand-written programs a [`Source::Suite`] resolves against.
+fn corpus() -> Vec<BuiltWorkload> {
+    let mut corpus = suite_small();
+    corpus.push(tapas_workloads::deeprec::build(40));
+    corpus
+}
+
+impl Source {
+    /// Build the program and its ground truth.
+    ///
+    /// # Errors
+    ///
+    /// An unknown workload name, or a program that fails its lint,
+    /// golden run, analysis or compilation.
+    pub fn load(&self) -> Result<Program, String> {
+        match self {
+            Source::Suite(name) => corpus()
+                .into_iter()
+                .find(|w| &w.name == name)
+                .ok_or_else(|| format!("unknown workload `{name}`"))
+                .and_then(Program::suite),
+            Source::Gen(seed) => fuzz::generated(*seed),
+        }
+    }
+}
+
+/// A program with everything the oracles compare against, prepared once
+/// per cell.
+#[derive(Debug)]
+pub struct Program {
+    /// Where the program came from.
+    pub source: Source,
+    /// The program, its memory image and its output region.
+    pub wl: BuiltWorkload,
+    /// The output region after the interpreter golden run.
+    pub golden: Vec<u8>,
+    /// The static analysis: recursion, and the queue depth proven safe.
+    pub report: AnalysisReport,
+    /// The compiled design every simulation instantiates.
+    pub design: CompiledDesign,
+    /// The generated shape family, or `"suite"` for a hand-written one.
+    pub shape: &'static str,
+    /// The generated parameters, or the hand-written workload's name.
+    pub descriptor: String,
+}
+
+impl Program {
+    /// Prepare a hand-written workload: golden output, analysis, design.
+    ///
+    /// # Errors
+    ///
+    /// Static analysis or compilation failed.
+    pub fn suite(wl: BuiltWorkload) -> Result<Program, String> {
+        let golden = wl.output_of(&wl.golden_memory()).to_vec();
+        let descriptor = wl.name.clone();
+        Program::new(Source::Suite(wl.name.clone()), wl, golden, "suite", descriptor)
+    }
+
+    fn new(
+        source: Source,
+        wl: BuiltWorkload,
+        golden: Vec<u8>,
+        shape: &'static str,
+        descriptor: String,
+    ) -> Result<Program, String> {
+        let report = tapas_analyze::analyze(&wl.module, wl.func, &wl.args)
+            .map_err(|e| format!("{}: static analysis: {e}", wl.name))?;
+        let design = Toolchain::new()
+            .compile(&wl.module)
+            .map_err(|e| format!("{}: compile: {e}", wl.name))?;
+        Ok(Program { source, wl, golden, report, design, shape, descriptor })
+    }
+
+    /// An accelerator for `cfg` with the program's memory image loaded.
+    fn machine(&self, cfg: &AcceleratorConfig) -> Result<Accelerator, String> {
+        let mut acc = self.design.instantiate(cfg).map_err(|e| format!("elaborate: {e}"))?;
+        acc.mem_mut().write_bytes(0, &self.wl.mem);
+        Ok(acc)
+    }
+
+    /// The program's output region in `acc`'s memory.
+    fn output<'a>(&self, acc: &'a Accelerator) -> &'a [u8] {
+        acc.mem().read_bytes(self.wl.output.0, self.wl.output.1)
+    }
+
+    /// The one-line repro string for `s` on this program.
+    pub fn repro(&self, s: &Sample) -> String {
+        s.repro(&self.source, &self.wl.name)
+    }
+}
+
+/// One sampled point of the feature matrix, small enough to print whole.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sample {
     /// Steal latency in cycles; `None` leaves stealing disabled.
     pub steal_latency: Option<u64>,
     /// L1 bank count (power of two).
@@ -40,22 +173,40 @@ pub struct ConfigSample {
     pub ntasks: usize,
     /// Whether admission control (spill + inline degradation) is armed.
     pub admission: bool,
+    /// Run on the stepped (cycle-by-cycle) engine core instead of the
+    /// event-driven default.
+    pub stepped: bool,
+    /// Arm a seeded random [`FaultPlan`].
+    pub faults: Option<u64>,
+    /// Kill the run at a cycle derived from this salt and resume it from
+    /// its snapshot.
+    pub kill: Option<u64>,
+    /// Arm the profiler at [`ProfileLevel::Summary`].
+    pub profile: bool,
 }
 
-/// Whether `wl`'s program recurses, as the static analyzer sees it.
-/// Recursive workloads need deep queues when admission control is off —
-/// every live level of the recursion holds a queue entry.
-fn is_recursive(wl: &BuiltWorkload) -> bool {
-    tapas_analyze::analyze(&wl.module, wl.func, &wl.args)
-        .expect("suite workloads are analyzable")
-        .recursive
-}
+impl Sample {
+    /// Every knob off, deep queue, event-driven core. If this diverges,
+    /// the program itself, not a feature interaction, is the repro.
+    pub fn baseline() -> Sample {
+        Sample {
+            steal_latency: None,
+            banks: 1,
+            tiles: 1,
+            ntasks: 256,
+            admission: false,
+            stepped: false,
+            faults: None,
+            kill: None,
+            profile: false,
+        }
+    }
 
-impl ConfigSample {
-    /// Draw one sample from `rng`. `recursive` constrains the queue depth
-    /// so the sample cannot deadlock by construction (recursion without
-    /// admission control needs one live entry per level).
-    pub fn draw(rng: &mut SplitMix64, recursive: bool) -> ConfigSample {
+    /// Draw the performance knobs from `rng`, every other dimension off.
+    /// `recursive` constrains the queue depth so the sample cannot
+    /// deadlock by construction (recursion without admission control
+    /// needs one live entry per level).
+    pub fn draw(rng: &mut SplitMix64, recursive: bool) -> Sample {
         let admission = rng.chance(1, 3);
         let steal_latency = if rng.chance(1, 2) { Some(1 + rng.next_below(6)) } else { None };
         let banks = [1usize, 2, 4][rng.next_below(3) as usize];
@@ -67,7 +218,7 @@ impl ConfigSample {
         } else {
             [8usize, 16, 32][rng.next_below(3) as usize]
         };
-        ConfigSample { steal_latency, banks, tiles, ntasks, admission }
+        Sample { steal_latency, banks, tiles, ntasks, admission, ..Sample::baseline() }
     }
 
     /// Both performance knobs at their seed defaults?
@@ -75,418 +226,185 @@ impl ConfigSample {
         self.steal_latency.is_none() && self.banks == 1
     }
 
-    /// The one-line repro string a failure report carries.
-    pub fn repro(&self, workload: &str) -> String {
+    /// The static analyzer proves the sample's queues deadlock-free.
+    pub fn is_safe(&self, report: &AnalysisReport) -> bool {
+        report.check_config(self.ntasks as u64, self.admission).safe
+    }
+
+    /// Materialize the sample through the public builder API (so the
+    /// harness also exercises the builder's validation paths). The
+    /// `seed_twin` of a sample is the same shape built without ever
+    /// touching the `steal`/`l1_banks` knobs (or faults and profiler) and
+    /// run on the stepped core; a features-disabled sample must time
+    /// exactly like its twin, which locks both cores to the seed schedule.
+    ///
+    /// # Errors
+    ///
+    /// The builder rejected the sample (a repro line can name any value).
+    pub fn config(&self, wl: &BuiltWorkload, seed_twin: bool) -> Result<AcceleratorConfig, String> {
+        let mut b = AcceleratorConfig::builder()
+            .tiles(self.tiles)
+            .ntasks(self.ntasks)
+            .mem_bytes(wl.mem.len().next_power_of_two().max(1 << 20))
+            .event_driven(!self.stepped && !seed_twin);
+        if self.admission {
+            b = b.admission(AdmissionControl::default());
+        }
+        if !seed_twin {
+            b = b.l1_banks(self.banks);
+            if let Some(latency) = self.steal_latency {
+                b = b.steal(StealConfig { latency });
+            }
+            if let Some(seed) = self.faults {
+                b = b.faults(FaultPlan::random(seed));
+            }
+            if self.profile {
+                b = b.profile(ProfileLevel::Summary);
+            }
+        }
+        b.build().map_err(|e| format!("config: {e}"))
+    }
+
+    /// The one-line repro string: the program (a generator seed, or a
+    /// workload name alone) and every sampled dimension, parseable by
+    /// [`parse_repro`].
+    pub fn repro(&self, source: &Source, workload: &str) -> String {
+        let off_or = |v: Option<u64>, hex: bool| match v {
+            None => "off".to_string(),
+            Some(v) if hex => format!("{v:#x}"),
+            Some(v) => v.to_string(),
+        };
+        let seed = match source {
+            Source::Gen(seed) => format!("seed={seed:#x} "),
+            Source::Suite(_) => String::new(),
+        };
         format!(
-            "workload={workload} steal={} banks={} tiles={} ntasks={} admission={}",
-            self.steal_latency.map_or("off".to_string(), |l| l.to_string()),
+            "{seed}workload={workload} steal={} banks={} tiles={} ntasks={} admission={} \
+             engine={} faults={} kill={} profile={}",
+            off_or(self.steal_latency, false),
             self.banks,
             self.tiles,
             self.ntasks,
             self.admission,
+            if self.stepped { "stepped" } else { "event" },
+            off_or(self.faults, true),
+            off_or(self.kill, true),
+            if self.profile { "summary" } else { "off" },
         )
     }
-
-    /// Materialize the sample through the public builder API (so the
-    /// sweep also exercises the builder's validation paths).
-    pub fn config(&self, wl: &BuiltWorkload) -> AcceleratorConfig {
-        let mut b = AcceleratorConfig::builder()
-            .tiles(self.tiles)
-            .ntasks(self.ntasks)
-            .mem_bytes(wl.mem.len().next_power_of_two().max(1 << 20))
-            .l1_banks(self.banks);
-        if let Some(latency) = self.steal_latency {
-            b = b.steal(StealConfig { latency });
-        }
-        if self.admission {
-            b = b.admission(AdmissionControl::default());
-        }
-        b.build().expect("sampled configurations are valid by construction")
-    }
-
-    /// The seed twin: the same shape built without ever touching the
-    /// `steal`/`l1_banks` knobs, and run on the stepped (cycle-by-cycle)
-    /// engine core rather than the event-driven one. For a
-    /// features-disabled sample this must behave cycle-identically to
-    /// [`ConfigSample::config`], which locks the event-driven core to the
-    /// seed schedule on every sweep.
-    pub fn seed_twin(&self, wl: &BuiltWorkload) -> AcceleratorConfig {
-        let mut b = AcceleratorConfig::builder()
-            .tiles(self.tiles)
-            .ntasks(self.ntasks)
-            .mem_bytes(wl.mem.len().next_power_of_two().max(1 << 20))
-            .event_driven(false);
-        if self.admission {
-            b = b.admission(AdmissionControl::default());
-        }
-        b.build().expect("seed twin of a valid sample is valid")
-    }
 }
 
-/// What one simulation run produced.
-#[derive(Debug, Clone)]
-pub struct SimRun {
-    /// End-to-end simulated cycles.
-    pub cycles: u64,
-    /// The workload's declared output region after the run.
-    pub output: Vec<u8>,
-    /// Successful cross-unit steals.
-    pub steals: u64,
+/// What a passing sample established.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The run completed with the golden output. A kill sample also
+    /// resumed to the identical outcome: this is its kill cycle, 0 when
+    /// the run was too short to kill.
+    Matched(Option<u64>),
+    /// A fault-armed run stopped with a typed error: detected, not silent.
+    Detected,
 }
 
-/// Compile, elaborate and run `wl` under `cfg`.
+/// Check `program` under `s` with every oracle the sample calls for (see
+/// the crate docs). With `snapshot = Some((path, every))` a kill sample's
+/// killed run also writes periodic snapshots to `path`, and its resume is
+/// verified through the on-disk ladder as well.
 ///
 /// # Errors
 ///
-/// Any toolchain or simulation failure (including deadlock detection) is
-/// rendered into the error string.
-pub fn simulate(wl: &BuiltWorkload, cfg: &AcceleratorConfig) -> Result<SimRun, String> {
-    let design = Toolchain::new().compile(&wl.module).map_err(|e| format!("compile: {e}"))?;
-    let mut acc = design.instantiate(cfg).map_err(|e| format!("elaborate: {e}"))?;
-    acc.mem_mut().write_bytes(0, &wl.mem);
-    let out = acc.run(wl.func, &wl.args).map_err(|e| format!("run: {e}"))?;
-    Ok(SimRun {
-        cycles: out.cycles,
-        output: acc.mem().read_bytes(wl.output.0, wl.output.1).to_vec(),
-        steals: out.stats.steals,
-    })
-}
-
-/// Check one workload × sample: simulator output must match the
-/// interpreter golden model, and a features-disabled sample must be
-/// cycle-identical to its seed twin.
-///
-/// # Errors
-///
-/// Returns the (unminimized) repro string plus what diverged.
-pub fn check_sample(wl: &BuiltWorkload, s: &ConfigSample) -> Result<(), String> {
-    let run = simulate(wl, &s.config(wl)).map_err(|e| format!("{}: {e}", s.repro(&wl.name)))?;
-    let golden_mem = wl.golden_memory();
-    let golden = wl.output_of(&golden_mem);
-    if run.output != golden {
-        return Err(format!(
-            "{}: output diverged from interpreter golden model",
-            s.repro(&wl.name)
-        ));
+/// What diverged, unminimized and without the repro line.
+pub fn check_sample(
+    program: &Program,
+    s: &Sample,
+    snapshot: Option<(&Path, u64)>,
+) -> Result<Verdict, String> {
+    let cfg = s.config(&program.wl, false)?;
+    let mut acc = program.machine(&cfg)?;
+    let run = match acc.run(program.wl.func, &program.wl.args) {
+        Ok(run) => run,
+        // The tolerance machinery stopping a faulty run is its job done.
+        Err(_) if s.faults.is_some() => return Ok(Verdict::Detected),
+        Err(e) => return Err(format!("run: {e}")),
+    };
+    let output = program.output(&acc);
+    if output != program.golden {
+        return Err("output diverged from interpreter golden model".to_string());
     }
-    if s.features_disabled() {
-        let twin = simulate(wl, &s.seed_twin(wl))
-            .map_err(|e| format!("{} (seed twin): {e}", s.repro(&wl.name)))?;
+    if s.faults.is_none() && s.features_disabled() {
+        let twin = program
+            .machine(&s.config(&program.wl, true)?)?
+            .run(program.wl.func, &program.wl.args)
+            .map_err(|e| format!("seed twin: {e}"))?;
         if twin.cycles != run.cycles {
             return Err(format!(
-                "{}: disabled features changed timing ({} cycles vs seed {})",
-                s.repro(&wl.name),
-                run.cycles,
-                twin.cycles
+                "disabled features changed timing ({} cycles vs seed {})",
+                run.cycles, twin.cycles
             ));
         }
     }
-    Ok(())
+    let kill_cycle = match s.kill {
+        Some(salt) => Some(kill_and_resume(program, &cfg, &run, output, salt, snapshot)?),
+        None => None,
+    };
+    Ok(Verdict::Matched(kill_cycle))
 }
 
-/// Greedily minimize a failing sample: repeatedly try the simplifying
-/// mutations (steal off, one bank, admission off, one tile, smallest
-/// queue) and keep any that still fails `fails`. The result is the
-/// simplest configuration that reproduces the failure.
-pub fn minimize<F: Fn(&ConfigSample) -> bool>(sample: &ConfigSample, fails: &F) -> ConfigSample {
-    let mut best = sample.clone();
-    loop {
-        let mut candidates = Vec::new();
-        if best.steal_latency.is_some() {
-            candidates.push(ConfigSample { steal_latency: None, ..best.clone() });
-        }
-        if best.banks > 1 {
-            candidates.push(ConfigSample { banks: 1, ..best.clone() });
-        }
-        if best.admission {
-            candidates.push(ConfigSample { admission: false, ..best.clone() });
-        }
-        if best.tiles > 1 {
-            candidates.push(ConfigSample { tiles: 1, ..best.clone() });
-        }
-        if best.ntasks > 256 {
-            candidates.push(ConfigSample { ntasks: 256, ..best.clone() });
-        }
-        match candidates.into_iter().find(|c| fails(c)) {
-            Some(simpler) => best = simpler,
-            None => return best,
-        }
-    }
-}
-
-/// Run the full differential sweep: `samples_per_workload` seeded samples
-/// for every workload in the small suite. Returns the number of checks
-/// performed.
-///
-/// # Errors
-///
-/// The first failure is minimized and returned as
-/// `"<minimized repro (seed=N)>: <what diverged>"`.
-pub fn differential_sweep(seed: u64, samples_per_workload: usize) -> Result<usize, String> {
-    let mut rng = SplitMix64::new(seed);
-    let mut checked = 0usize;
-    for wl in suite_small() {
-        let recursive = is_recursive(&wl);
-        for _ in 0..samples_per_workload {
-            let sample = ConfigSample::draw(&mut rng, recursive);
-            if let Err(err) = check_sample(&wl, &sample) {
-                let minimized =
-                    minimize(&sample, &|c: &ConfigSample| check_sample(&wl, c).is_err());
-                return Err(format!(
-                    "differential sweep failed (seed={seed}): {err}\nminimized repro: {}",
-                    minimized.repro(&wl.name)
-                ));
-            }
-            checked += 1;
-        }
-    }
-    Ok(checked)
-}
-
-/// Sample configurations at the static analyzer's predicted safe/unsafe
-/// `ntasks` boundary, for every small-suite workload plus a deep spawn
-/// chain. Three checks per workload:
-///
-/// 1. **Soundness**: a configuration the analyzer *proves* safe — queue
-///    depth at the predicted minimum (plus seeded slack) with admission
-///    control off — must complete and match the interpreter golden model.
-/// 2. **Rescue**: one entry below the boundary with admission control
-///    armed must also complete (spilling replaces blocking), exactly as
-///    `check_config` promises.
-/// 3. **Tightness** (deep chain only): one entry below the boundary with
-///    admission off must make the simulator report the very deadlock the
-///    analyzer predicted.
-///
-/// Returns the number of simulations run.
-///
-/// # Errors
-///
-/// The first violated check is rendered into the repro string.
-pub fn boundary_sweep(seed: u64) -> Result<usize, String> {
-    let mut rng = SplitMix64::new(seed);
-    let mut checked = 0usize;
-    let mut corpus = suite_small();
-    corpus.push(tapas_workloads::deeprec::build(40));
-    for wl in corpus {
-        let report = tapas_analyze::analyze(&wl.module, wl.func, &wl.args)
-            .map_err(|e| format!("{}: static analysis failed: {e}", wl.name))?;
-        let need = report
-            .min_safe_ntasks
-            .ok_or_else(|| format!("{}: occupancy not statically bounded", wl.name))?;
-        let golden_mem = wl.golden_memory();
-        let golden = wl.output_of(&golden_mem);
-        let tiles = 1 + rng.next_below(2) as usize;
-
-        // 1. Proven safe at the boundary (with a little slack sometimes).
-        let at = need + rng.next_below(3);
-        let safe = ConfigSample {
-            steal_latency: None,
-            banks: 1,
-            tiles,
-            ntasks: at as usize,
-            admission: false,
-        };
-        let verdict = report.check_config(at, false);
-        if !verdict.safe {
-            return Err(format!(
-                "{}: analyzer retracted its own boundary at ntasks={at}: {}",
-                wl.name, verdict.reason
-            ));
-        }
-        let run = simulate(&wl, &safe.config(&wl)).map_err(|e| {
-            format!("{}: proven-safe config deadlocked or failed: {e}", safe.repro(&wl.name))
-        })?;
-        if run.output != golden {
-            return Err(format!("{}: proven-safe run diverged from golden", safe.repro(&wl.name)));
-        }
-        checked += 1;
-
-        if need <= 1 {
-            continue; // boundary sits at the floor; no below-boundary side exists
-        }
-
-        // 2. Below the boundary, admission control must rescue the run.
-        let below = (need - 1) as usize;
-        let rescued = ConfigSample { admission: true, ntasks: below, ..safe.clone() };
-        if !report.check_config(below as u64, true).safe {
-            return Err(format!("{}: admission-armed config not judged safe", wl.name));
-        }
-        let run = simulate(&wl, &rescued.config(&wl))
-            .map_err(|e| format!("{}: admission failed to rescue: {e}", rescued.repro(&wl.name)))?;
-        if run.output != golden {
-            return Err(format!("{}: rescued run diverged from golden", rescued.repro(&wl.name)));
-        }
-        checked += 1;
-
-        // 3. The deep chain's boundary is exact: one short, bare, wedged.
-        if wl.name == "deeprec" {
-            let bare = ConfigSample { admission: false, ntasks: below, ..safe };
-            if report.check_config(below as u64, false).safe {
-                return Err(format!("{}: below-boundary config wrongly judged safe", wl.name));
-            }
-            match simulate(&wl, &bare.config(&wl)) {
-                Err(e) if e.contains("deadlock") => checked += 1,
-                Err(e) => {
-                    return Err(format!(
-                        "{}: expected a deadlock report, got: {e}",
-                        bare.repro(&wl.name)
-                    ))
-                }
-                Ok(_) => {
-                    return Err(format!(
-                        "{}: predicted-unsafe config completed; the boundary is not tight",
-                        bare.repro(&wl.name)
-                    ))
-                }
-            }
-        }
-    }
-    Ok(checked)
-}
-
-/// One independent, deterministic slice of the differential sweep: a
-/// workload with its own derived seed stream. Unlike [`differential_sweep`]
-/// (one RNG stream shared across workloads, inherently sequential), cells
-/// can run in any order — or concurrently — and always draw the same
-/// samples, which is what lets the sweep executor shard them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiffCell {
-    /// Workload name (resolved against [`suite_small`] when run).
-    pub workload: String,
-    /// The cell's own 64-bit sample-stream seed.
-    pub seed: u64,
-    /// Samples to draw and check.
-    pub samples: usize,
-}
-
-/// Decompose the differential sweep into one [`DiffCell`] per small-suite
-/// workload. Each cell's seed is derived from `seed` and the workload's
-/// position via an extra SplitMix64 scramble, so the streams are
-/// decorrelated from each other and from the sequential sweep's.
-pub fn differential_cells(seed: u64, samples_per_workload: usize) -> Vec<DiffCell> {
-    suite_small()
-        .iter()
-        .enumerate()
-        .map(|(i, wl)| DiffCell {
-            workload: wl.name.clone(),
-            seed: SplitMix64::new(seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                .next_u64(),
-            samples: samples_per_workload,
-        })
-        .collect()
-}
-
-/// Run one differential cell: draw `samples` configurations from the
-/// cell's own stream and [`check_sample`] each. Returns the number of
-/// checks performed (== `cell.samples` on success).
-///
-/// # Errors
-///
-/// The first failing sample is minimized and rendered into a repro string
-/// carrying the cell's seed, exactly like [`differential_sweep`]'s.
-pub fn run_differential_cell(cell: &DiffCell) -> Result<usize, String> {
-    let wl = suite_small()
-        .into_iter()
-        .find(|w| w.name == cell.workload)
-        .ok_or_else(|| format!("unknown workload `{}`", cell.workload))?;
-    let recursive = is_recursive(&wl);
-    let mut rng = SplitMix64::new(cell.seed);
-    let mut checked = 0usize;
-    for _ in 0..cell.samples {
-        let sample = ConfigSample::draw(&mut rng, recursive);
-        if let Err(err) = check_sample(&wl, &sample) {
-            let minimized = minimize(&sample, &|c: &ConfigSample| check_sample(&wl, c).is_err());
-            return Err(format!(
-                "differential cell failed (seed={:#x}): {err}\nminimized repro: {}",
-                cell.seed,
-                minimized.repro(&wl.name)
-            ));
-        }
-        checked += 1;
-    }
-    Ok(checked)
-}
-
-// ---------------------------------------------------------------------------
-// Kill-and-resume chaos harness
-// ---------------------------------------------------------------------------
-
-/// What one kill-and-resume trial established.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosVerdict {
-    /// Cycle the run was killed at (relative to run start); 0 when the
-    /// golden run was too short to kill.
-    pub kill_cycle: u64,
-    /// Total cycles of the golden (uninterrupted) run.
-    pub golden_cycles: u64,
-}
-
-/// Kill a run mid-flight and require the resumed run to be byte-identical
-/// to the run never interrupted.
-///
-/// The trial runs `wl` under `cfg` three times: once uninterrupted (the
-/// golden run), once with the `halt_at_cycle` hook armed at a kill point
-/// derived from `kill_salt` (standing in for `kill -9` at an arbitrary
-/// cycle), and once more on a *freshly elaborated* accelerator restored
-/// from the halted run's snapshot. The snapshot is round-tripped through
-/// its on-disk byte format on the way, so the codec — not just the
-/// in-memory capture — is under test. The resumed run must reproduce the
-/// golden [`tapas::SimOutcome`] exactly: cycle count, every
-/// [`tapas::SimStats`] counter, the profile when armed, and the workload's
-/// declared output region.
-///
-/// # Errors
-///
-/// Any divergence (or a failure of any of the three runs) is rendered into
-/// the error string with the kill point.
-pub fn chaos_check(
-    wl: &BuiltWorkload,
+/// Kill a run of `cfg` at a cycle derived from `salt` (standing in for
+/// `kill -9`), restore a freshly elaborated accelerator from the halted
+/// run's snapshot, round-tripped through its on-disk byte format, and
+/// require the resumed run to reproduce the uninterrupted `golden`
+/// outcome and `golden_out` region exactly: cycles, every
+/// [`tapas::SimStats`] counter and the profile when armed. With an
+/// on-disk `snapshot` assignment the killed run also writes the periodic
+/// ladder, and a run restored from the ladder must match too. Returns
+/// the kill cycle.
+fn kill_and_resume(
+    program: &Program,
     cfg: &AcceleratorConfig,
-    kill_salt: u64,
-) -> Result<ChaosVerdict, String> {
-    chaos_check_with(wl, cfg, kill_salt, None)
-}
-
-/// [`chaos_check`] with an optional on-disk snapshot assignment.
-///
-/// With `snapshot = Some((path, every))` the killed run also writes
-/// periodic snapshots to `path` every `every` cycles — the `tapas-exec`
-/// crash-resume path — and, when the kill point fell past the first
-/// interval, a fourth run restores from the *disk* ladder
-/// ([`tapas::sim::snapshot::load_latest`]) rather than the in-memory halt
-/// capture and must reach the same golden outcome from its earlier
-/// capture point. Stale snapshot files are cleared before the trial and
-/// removed after it.
-pub fn chaos_check_with(
-    wl: &BuiltWorkload,
-    cfg: &AcceleratorConfig,
-    kill_salt: u64,
-    snapshot: Option<(&std::path::Path, u64)>,
-) -> Result<ChaosVerdict, String> {
-    let design = Toolchain::new().compile(&wl.module).map_err(|e| format!("compile: {e}"))?;
-
-    let mut golden_acc = design.instantiate(cfg).map_err(|e| format!("elaborate: {e}"))?;
-    golden_acc.mem_mut().write_bytes(0, &wl.mem);
-    let golden = golden_acc.run(wl.func, &wl.args).map_err(|e| format!("golden run: {e}"))?;
-    let golden_out = golden_acc.mem().read_bytes(wl.output.0, wl.output.1).to_vec();
+    golden: &SimOutcome,
+    golden_out: &[u8],
+    salt: u64,
+    snapshot: Option<(&Path, u64)>,
+) -> Result<u64, String> {
     if golden.cycles < 2 {
-        return Ok(ChaosVerdict { kill_cycle: 0, golden_cycles: golden.cycles });
+        return Ok(0);
     }
-    let kill = 1 + kill_salt % (golden.cycles - 1);
+    let kill = 1 + salt % (golden.cycles - 1);
+    let resume_matches = |snap: &EngineSnapshot, what: &str| -> Result<(), String> {
+        let mut acc = program.machine(cfg)?;
+        let out = acc
+            .resume(snap)
+            .map_err(|e| format!("kill at {kill}: {what} from cycle {}: {e}", snap.cycle))?;
+        if out != *golden {
+            return Err(format!(
+                "kill at {kill}: {what} from cycle {} diverged from the uninterrupted run \
+                 ({} vs {} cycles, stats equal: {})",
+                snap.cycle,
+                out.cycles,
+                golden.cycles,
+                out.stats == golden.stats,
+            ));
+        }
+        if program.output(&acc) != golden_out {
+            return Err(format!("kill at {kill}: {what} output region diverged"));
+        }
+        Ok(())
+    };
 
     let mut killed_cfg = cfg.clone();
     killed_cfg.halt_at_cycle = Some(kill);
-    if let Some((path, every)) = snapshot {
-        // A previous trial (possibly of a different design) may have left
-        // snapshots at this cell's stable path; a resume would reject
-        // them by fingerprint, but the trial should start clean.
+    let clear = |path: &Path| {
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_file(tapas::sim::snapshot::prev_path(path));
+    };
+    if let Some((path, every)) = snapshot {
+        // An earlier trial may have left snapshots at this stable path; a
+        // resume would reject them by fingerprint, but start clean.
+        clear(path);
         killed_cfg.snapshot = Some(SnapshotConfig { every, path: path.to_path_buf() });
     }
-    let mut victim = design.instantiate(&killed_cfg).map_err(|e| format!("elaborate: {e}"))?;
-    victim.mem_mut().write_bytes(0, &wl.mem);
-    match victim.run(wl.func, &wl.args) {
+    let mut victim = program.machine(&killed_cfg)?;
+    match victim.run(program.wl.func, &program.wl.args) {
         Err(SimError::Halted { .. }) => {}
         Err(e) => return Err(format!("kill at {kill}: unexpected failure before halt: {e}")),
         Ok(_) => return Err(format!("kill at {kill}: run completed past the halt hook")),
@@ -496,130 +414,310 @@ pub fn chaos_check_with(
         .ok_or_else(|| format!("kill at {kill}: halted run left no snapshot"))?;
     let snap = EngineSnapshot::from_bytes(&snap.to_bytes())
         .map_err(|e| format!("kill at {kill}: snapshot failed the byte round-trip: {e}"))?;
+    resume_matches(&snap, "resume")?;
 
-    let mut resumed = design.instantiate(cfg).map_err(|e| format!("elaborate: {e}"))?;
-    resumed.mem_mut().write_bytes(0, &wl.mem);
-    let out = resumed
-        .resume(&snap)
-        .map_err(|e| format!("kill at {kill}: resume from cycle {}: {e}", snap.cycle))?;
-    if out != golden {
-        return Err(format!(
-            "kill at {kill}: resumed outcome diverged from golden \
-             ({} vs {} cycles, stats equal: {})",
-            out.cycles,
-            golden.cycles,
-            out.stats == golden.stats,
-        ));
-    }
-    if resumed.mem().read_bytes(wl.output.0, wl.output.1) != &golden_out[..] {
-        return Err(format!("kill at {kill}: resumed output region diverged from golden"));
-    }
-
-    if let Some((path, _every)) = snapshot {
+    if let Some((path, _)) = snapshot {
         let (disk, notes) = tapas::sim::snapshot::load_latest(path);
         if !notes.is_empty() {
             return Err(format!("kill at {kill}: disk snapshot ladder degraded: {notes:?}"));
         }
         if let Some(disk) = disk {
-            let mut from_disk = design.instantiate(cfg).map_err(|e| format!("elaborate: {e}"))?;
-            from_disk.mem_mut().write_bytes(0, &wl.mem);
-            let out = from_disk.resume(&disk).map_err(|e| {
-                format!("kill at {kill}: disk resume from cycle {}: {e}", disk.cycle)
-            })?;
-            if out != golden
-                || from_disk.mem().read_bytes(wl.output.0, wl.output.1) != &golden_out[..]
-            {
+            resume_matches(&disk, "disk resume")?;
+        }
+        clear(path);
+    }
+    Ok(kill)
+}
+
+/// Greedily minimize a failing sample: repeatedly try the simplifying
+/// mutations (kill, faults, stepped core and profiler off, then steal
+/// off, one bank, admission off, one tile, a 256-entry queue) and keep
+/// the first that still `fails`. A mutation that would take the queues
+/// from proven safe to not proven safe under `report` is never tried, so
+/// the minimizer cannot trade the real failure for a deadlock of its own
+/// making. The result is the simplest sample reproducing the failure.
+pub fn minimize<F: Fn(&Sample) -> bool>(
+    sample: &Sample,
+    report: &AnalysisReport,
+    fails: &F,
+) -> Sample {
+    let mut best = sample.clone();
+    loop {
+        let b = &best;
+        let candidates = [
+            b.kill.map(|_| Sample { kill: None, ..b.clone() }),
+            b.faults.map(|_| Sample { faults: None, ..b.clone() }),
+            b.stepped.then(|| Sample { stepped: false, ..b.clone() }),
+            b.profile.then(|| Sample { profile: false, ..b.clone() }),
+            b.steal_latency.map(|_| Sample { steal_latency: None, ..b.clone() }),
+            (b.banks > 1).then(|| Sample { banks: 1, ..b.clone() }),
+            b.admission.then(|| Sample { admission: false, ..b.clone() }),
+            (b.tiles > 1).then(|| Sample { tiles: 1, ..b.clone() }),
+            (b.ntasks > 256).then(|| Sample { ntasks: 256, ..b.clone() }),
+        ];
+        let keeps_safety = |c: &Sample| c.is_safe(report) || !b.is_safe(report);
+        match candidates.into_iter().flatten().find(|c| keeps_safety(c) && fails(c)) {
+            Some(simpler) => best = simpler,
+            None => return best,
+        }
+    }
+}
+
+/// How a campaign draws its cells' samples.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Campaign {
+    /// The performance knobs ([`Sample::draw`]).
+    Differential,
+    /// The knobs, then a profiler draw and a kill salt on every sample.
+    Chaos,
+    /// The [baseline][Sample::baseline] first; then the knobs with the
+    /// queue depth floored at the analyzer's safe bound, the engine core,
+    /// and a fault seed or a kill salt (a kill needs a clean run to diff).
+    Fuzz,
+}
+
+/// One shardable, deterministic slice of a campaign: a program and its
+/// own sample stream. Cells run in any order, or concurrently, and always
+/// draw the same samples, which is what lets the sweep executor shard,
+/// retry and resume them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cell {
+    /// How the samples are drawn.
+    pub campaign: Campaign,
+    /// The program under test.
+    pub source: Source,
+    /// The cell's own sample-stream seed.
+    pub seed: u64,
+    /// Samples to draw and check.
+    pub samples: usize,
+}
+
+impl Cell {
+    /// The cell's samples, drawn from its stream; `report` is its
+    /// program's analysis.
+    pub fn draw(&self, report: &AnalysisReport) -> Vec<Sample> {
+        let mut rng = SplitMix64::new(self.seed);
+        (0..self.samples)
+            .map(|i| match self.campaign {
+                Campaign::Differential => Sample::draw(&mut rng, report.recursive),
+                Campaign::Chaos => {
+                    let s = Sample::draw(&mut rng, report.recursive);
+                    let profile = rng.chance(1, 2);
+                    Sample { profile, kill: Some(rng.next_u64()), ..s }
+                }
+                Campaign::Fuzz if i == 0 => Sample::baseline(),
+                Campaign::Fuzz => {
+                    let mut s = Sample::draw(&mut rng, report.recursive);
+                    if !s.is_safe(report) {
+                        s.ntasks = s.ntasks.max(report.min_safe_ntasks.unwrap_or(0) as usize);
+                    }
+                    s.stepped = rng.chance(1, 4);
+                    match rng.next_below(4) {
+                        0 => s.faults = Some(rng.next_u64()),
+                        1 => s.kill = Some(rng.next_u64()),
+                        _ => {}
+                    }
+                    s
+                }
+            })
+            .collect()
+    }
+
+    /// Check every drawn sample against `program` (this cell's
+    /// [`Source::load`]); `snapshot` is passed to [`check_sample`].
+    /// Returns the number of samples checked.
+    ///
+    /// # Errors
+    ///
+    /// The first failing sample is minimized and rendered as
+    /// `"...\nminimized repro: <one-line string>"`; the line replays with
+    /// [`replay_repro`].
+    pub fn run(&self, program: &Program, snapshot: Option<(&Path, u64)>) -> Result<usize, String> {
+        let samples = self.draw(&program.report);
+        for s in &samples {
+            if let Err(err) = check_sample(program, s, snapshot) {
+                let fails = |c: &Sample| check_sample(program, c, snapshot).is_err();
+                let minimized = minimize(s, &program.report, &fails);
                 return Err(format!(
-                    "kill at {kill}: disk-resumed run (from cycle {}) diverged from golden",
-                    disk.cycle
+                    "{:?} cell failed (stream seed {:#x}, {} {}): {}: {err}\nminimized repro: {}",
+                    self.campaign,
+                    self.seed,
+                    program.shape,
+                    program.descriptor,
+                    program.repro(s),
+                    program.repro(&minimized)
                 ));
             }
         }
-        let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_file(tapas::sim::snapshot::prev_path(path));
+        Ok(samples.len())
     }
-    Ok(ChaosVerdict { kill_cycle: kill, golden_cycles: golden.cycles })
 }
 
-/// One shardable slice of the chaos sweep: a workload with its own derived
-/// seed stream drawing configurations and kill points. Like [`DiffCell`],
-/// cells are order-independent and deterministic, so the sweep executor
-/// can shard, retry and resume them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosCell {
-    /// Workload name (resolved against [`suite_small`] when run).
-    pub workload: String,
-    /// The cell's own 64-bit sample/kill-point stream seed.
-    pub seed: u64,
-    /// Kill-and-resume trials to run.
-    pub trials: usize,
-}
-
-/// Decompose the chaos sweep into one [`ChaosCell`] per small-suite
-/// workload, with per-cell seed streams decorrelated exactly like
-/// [`differential_cells`]'s (a different scramble constant keeps the two
-/// sweeps' streams independent of each other).
-pub fn chaos_cells(seed: u64, trials_per_workload: usize) -> Vec<ChaosCell> {
+/// One cell per small-suite workload, each seed derived from `seed` and
+/// the workload's position through an extra SplitMix64 scramble, so the
+/// streams are decorrelated from each other and, through `scramble`, from
+/// other campaigns sharing the seed.
+fn suite_cells(campaign: Campaign, seed: u64, scramble: u64, samples: usize) -> Vec<Cell> {
     suite_small()
         .iter()
         .enumerate()
-        .map(|(i, wl)| ChaosCell {
-            workload: wl.name.clone(),
-            seed: SplitMix64::new(seed ^ (i as u64 + 1).wrapping_mul(0x517c_c1b7_2722_0a95))
-                .next_u64(),
-            trials: trials_per_workload,
+        .map(|(i, wl)| Cell {
+            campaign,
+            source: Source::Suite(wl.name.clone()),
+            seed: SplitMix64::new(seed ^ (i as u64 + 1).wrapping_mul(scramble)).next_u64(),
+            samples,
         })
         .collect()
 }
 
-/// Run one chaos cell: each trial draws a configuration sample (steal ×
-/// banks × tiles × queue depth × admission, profiler armed on half the
-/// trials) and a kill point, then [`chaos_check`]s the workload under it.
-/// Returns the number of trials verified.
+/// The differential sweep: one cell of `samples_per_workload` samples per
+/// small-suite workload.
+pub fn differential_cells(seed: u64, samples_per_workload: usize) -> Vec<Cell> {
+    suite_cells(Campaign::Differential, seed, 0x9e37_79b9_7f4a_7c15, samples_per_workload)
+}
+
+/// The kill-and-resume sweep: one cell of `trials_per_workload` kill
+/// samples per small-suite workload.
+pub fn chaos_cells(seed: u64, trials_per_workload: usize) -> Vec<Cell> {
+    suite_cells(Campaign::Chaos, seed, 0x517c_c1b7_2722_0a95, trials_per_workload)
+}
+
+/// Sample configurations at the static analyzer's predicted safe/unsafe
+/// `ntasks` boundary, for every small-suite workload plus a deep spawn
+/// chain. Three checks per workload:
+///
+/// 1. **Soundness**: a configuration the analyzer *proves* safe — queue
+///    depth at the predicted minimum (plus seeded slack) with admission
+///    control off — must pass [`check_sample`].
+/// 2. **Rescue**: one entry below the boundary with admission control
+///    armed must also pass (spilling replaces blocking), exactly as
+///    `check_config` promises.
+/// 3. **Tightness** (deep chain only): one entry below the boundary with
+///    admission off must make the simulator report the very deadlock the
+///    analyzer predicted.
+///
+/// Returns the number of checks made.
 ///
 /// # Errors
 ///
-/// The first failing trial is rendered into a repro string carrying the
-/// cell's seed and the sampled knobs.
-pub fn run_chaos_cell(cell: &ChaosCell) -> Result<usize, String> {
-    run_chaos_cell_with(cell, None)
+/// The first violated check, with the sample's repro line.
+pub fn boundary_sweep(seed: u64) -> Result<usize, String> {
+    let mut rng = SplitMix64::new(seed);
+    let mut checked = 0usize;
+    for wl in corpus() {
+        let p = Program::suite(wl)?;
+        let need = p
+            .report
+            .min_safe_ntasks
+            .ok_or_else(|| format!("{}: occupancy not statically bounded", p.wl.name))?;
+        let tiles = 1 + rng.next_below(2) as usize;
+        // At the boundary (with a little slack sometimes), and one entry
+        // below it with admission armed; the floor has no below side.
+        let at = (need + rng.next_below(3)) as usize;
+        let safe = Sample { tiles, ntasks: at, ..Sample::baseline() };
+        let below =
+            Sample { admission: true, ntasks: (need as usize).saturating_sub(1), ..safe.clone() };
+        let sides = if need > 1 { vec![safe, below.clone()] } else { vec![safe] };
+        for s in sides {
+            if !s.is_safe(&p.report) {
+                return Err(format!("{}: analyzer retracted its own bound", p.repro(&s)));
+            }
+            check_sample(&p, &s, None).map_err(|e| format!("{}: {e}", p.repro(&s)))?;
+            checked += 1;
+        }
+        // The deep chain's boundary is exact: one short, bare, wedged.
+        if p.wl.name == "deeprec" {
+            let bare = Sample { admission: false, ..below };
+            if bare.is_safe(&p.report) {
+                return Err(format!("{}: below-boundary config judged safe", p.repro(&bare)));
+            }
+            match check_sample(&p, &bare, None) {
+                Err(e) if e.contains("deadlock") => checked += 1,
+                other => {
+                    return Err(format!("{}: expected a deadlock, got {other:?}", p.repro(&bare)))
+                }
+            }
+        }
+    }
+    Ok(checked)
 }
 
-/// [`run_chaos_cell`] with the executor's on-disk snapshot assignment:
-/// every trial's killed run writes periodic snapshots to `path`, and the
-/// resume is additionally verified through the disk ladder. This is what
-/// `reproduce chaos --snapshot-every N` drives via [`Cell::resumable`]
-/// contexts (`Cell` being `tapas_exec::Cell`).
-pub fn run_chaos_cell_with(
-    cell: &ChaosCell,
-    snapshot: Option<(std::path::PathBuf, u64)>,
-) -> Result<usize, String> {
-    let wl = suite_small()
-        .into_iter()
-        .find(|w| w.name == cell.workload)
-        .ok_or_else(|| format!("unknown workload `{}`", cell.workload))?;
-    let recursive = is_recursive(&wl);
-    let mut rng = SplitMix64::new(cell.seed);
-    let mut verified = 0usize;
-    for _ in 0..cell.trials {
-        let sample = ConfigSample::draw(&mut rng, recursive);
-        let mut cfg = sample.config(&wl);
-        if rng.chance(1, 2) {
-            cfg.profile = ProfileLevel::Summary;
+/// The keys of a repro line, in the order [`Sample::repro`] writes them.
+const REPRO_KEYS: &str =
+    "seed workload steal banks tiles ntasks admission engine faults kill profile";
+
+/// Parse a one-line repro string produced by [`Sample::repro`] back into
+/// its program source and sample. A line with `seed=` names a generated
+/// program (its `workload=`, if given, must be what the seed generates);
+/// a line without names a hand-written workload.
+///
+/// # Errors
+///
+/// Missing keys, unknown keys and malformed values are all rendered into
+/// the error string.
+pub fn parse_repro(line: &str) -> Result<(Source, Sample), String> {
+    let mut kv = std::collections::HashMap::new();
+    for tok in line.split_whitespace() {
+        let (k, v) =
+            tok.split_once('=').ok_or_else(|| format!("repro: `{tok}` is not key=value"))?;
+        if !REPRO_KEYS.split(' ').any(|key| key == k) {
+            return Err(format!("repro: unknown key `{k}`"));
         }
-        let salt = rng.next_u64();
-        let spec = snapshot.as_ref().map(|(p, every)| (p.as_path(), *every));
-        chaos_check_with(&wl, &cfg, salt, spec).map_err(|e| {
-            format!(
-                "chaos cell failed (seed={:#x}): {} profile={:?}: {e}",
-                cell.seed,
-                sample.repro(&wl.name),
-                cfg.profile,
-            )
-        })?;
-        verified += 1;
+        kv.insert(k, v);
     }
-    Ok(verified)
+    let get = |k: &str| kv.get(k).copied().ok_or_else(|| format!("repro: missing {k}="));
+    let num = |k: &str| {
+        let v = get(k)?;
+        match v.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => v.parse(),
+        }
+        .map_err(|_| format!("repro: bad value for {k}: `{v}`"))
+    };
+    let opt = |k: &str| if get(k)? == "off" { Ok(None) } else { num(k).map(Some) };
+    let choice = |k: &str, off: &str, on: &str| match get(k)? {
+        v if v == off => Ok(false),
+        v if v == on => Ok(true),
+        v => Err(format!("repro: {k} must be {off}|{on}, got `{v}`")),
+    };
+    let source = match (kv.contains_key("seed"), kv.get("workload")) {
+        (true, w) => {
+            let seed = num("seed")?;
+            let expect = tapas_gen::generate(seed).wl.name;
+            if w.is_some_and(|w| *w != expect) {
+                return Err(format!(
+                    "repro: workload `{}` does not match seed {seed:#x} (generates `{expect}`)",
+                    w.unwrap()
+                ));
+            }
+            Source::Gen(seed)
+        }
+        (false, Some(w)) => Source::Suite(w.to_string()),
+        (false, None) => return Err("repro: missing seed= (generated) or workload=".to_string()),
+    };
+    let sample = Sample {
+        steal_latency: opt("steal")?,
+        banks: num("banks")? as usize,
+        tiles: num("tiles")? as usize,
+        ntasks: num("ntasks")? as usize,
+        admission: choice("admission", "false", "true")?,
+        stepped: choice("engine", "event", "stepped")?,
+        faults: opt("faults")?,
+        kill: opt("kill")?,
+        profile: choice("profile", "off", "summary")?,
+    };
+    Ok((source, sample))
+}
+
+/// Re-run a one-line repro string: rebuild its program and check the
+/// exact sample it names.
+///
+/// # Errors
+///
+/// A parse or load failure, or the divergence itself if it reproduces.
+pub fn replay_repro(line: &str) -> Result<(), String> {
+    let (source, sample) = parse_repro(line)?;
+    check_sample(&source.load()?, &sample, None).map(|_| ())
 }
 
 #[cfg(test)]
@@ -630,7 +728,7 @@ mod tests {
     fn sample_stream_is_deterministic() {
         let draw = |seed| {
             let mut rng = SplitMix64::new(seed);
-            (0..16).map(|i| ConfigSample::draw(&mut rng, i % 2 == 0)).collect::<Vec<_>>()
+            (0..16).map(|i| Sample::draw(&mut rng, i % 2 == 0)).collect::<Vec<_>>()
         };
         assert_eq!(draw(7), draw(7));
         assert_ne!(draw(7), draw(8));
@@ -640,7 +738,7 @@ mod tests {
     fn samples_cannot_deadlock_by_construction() {
         let mut rng = SplitMix64::new(99);
         for i in 0..256 {
-            let s = ConfigSample::draw(&mut rng, i % 2 == 0);
+            let s = Sample::draw(&mut rng, i % 2 == 0);
             if !s.admission && i % 2 == 0 {
                 assert!(s.ntasks >= 256, "recursive without admission needs a deep queue");
             }
@@ -649,28 +747,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn differential_cells_are_deterministic_and_decorrelated() {
-        let cells = differential_cells(0x7A9A_5CAF, 3);
-        assert_eq!(cells.len(), suite_small().len());
-        assert_eq!(cells, differential_cells(0x7A9A_5CAF, 3), "same seed, same cells");
+    fn assert_distinct_seeds(cells: &[Cell]) {
         let mut seeds: Vec<u64> = cells.iter().map(|c| c.seed).collect();
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), cells.len(), "per-workload seed streams must differ");
+    }
+
+    #[test]
+    fn differential_cells_are_deterministic_and_decorrelated() {
+        let cells = differential_cells(SWEEP_SEED, 3);
+        assert_eq!(cells.len(), suite_small().len());
+        assert_eq!(cells, differential_cells(SWEEP_SEED, 3), "same seed, same cells");
+        assert_distinct_seeds(&cells);
         assert_ne!(
             cells[0].seed,
-            differential_cells(0x7A9A_5CB0, 3)[0].seed,
+            differential_cells(SWEEP_SEED + 1, 3)[0].seed,
             "cells must track the sweep seed"
         );
     }
 
+    fn suite_cell(campaign: Campaign, workload: &str, seed: u64, samples: usize) -> Cell {
+        Cell { campaign, source: Source::Suite(workload.to_string()), seed, samples }
+    }
+
+    fn run(cell: &Cell) -> Result<usize, String> {
+        cell.run(&cell.source.load()?, None)
+    }
+
     #[test]
     fn differential_cell_runs_and_rejects_unknown_workloads() {
-        let cell = DiffCell { workload: "saxpy".to_string(), seed: 42, samples: 1 };
-        assert_eq!(run_differential_cell(&cell), Ok(1));
-        let bogus = DiffCell { workload: "nope".to_string(), seed: 42, samples: 1 };
-        assert!(run_differential_cell(&bogus).unwrap_err().contains("unknown workload"));
+        assert_eq!(run(&suite_cell(Campaign::Differential, "saxpy", 42, 1)), Ok(1));
+        let bogus = suite_cell(Campaign::Differential, "nope", 42, 1);
+        assert!(run(&bogus).unwrap_err().contains("unknown workload"));
     }
 
     #[test]
@@ -678,10 +787,7 @@ mod tests {
         let cells = chaos_cells(0xC0A0_5EED, 2);
         assert_eq!(cells.len(), suite_small().len());
         assert_eq!(cells, chaos_cells(0xC0A0_5EED, 2), "same seed, same cells");
-        let mut seeds: Vec<u64> = cells.iter().map(|c| c.seed).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), cells.len(), "per-workload seed streams must differ");
+        assert_distinct_seeds(&cells);
         // The chaos and differential sweeps use different scramble
         // constants, so sharing a top-level seed never correlates them.
         let diff = differential_cells(0xC0A0_5EED, 2);
@@ -690,44 +796,79 @@ mod tests {
 
     #[test]
     fn chaos_cell_runs_and_rejects_unknown_workloads() {
-        let cell = ChaosCell { workload: "saxpy".to_string(), seed: 42, trials: 1 };
-        assert_eq!(run_chaos_cell(&cell), Ok(1));
-        let bogus = ChaosCell { workload: "nope".to_string(), seed: 42, trials: 1 };
-        assert!(run_chaos_cell(&bogus).unwrap_err().contains("unknown workload"));
+        assert_eq!(run(&suite_cell(Campaign::Chaos, "saxpy", 42, 1)), Ok(1));
+        let bogus = suite_cell(Campaign::Chaos, "nope", 42, 1);
+        assert!(run(&bogus).unwrap_err().contains("unknown workload"));
     }
 
     #[test]
     fn minimize_strips_irrelevant_knobs() {
-        // A synthetic failure that only depends on banks > 1: the
-        // minimizer must drop stealing, admission and extra tiles, and
-        // keep the banked cache.
-        let sample = ConfigSample {
+        // Synthetic failures that depend on one dimension only (a banked
+        // cache, the stepped core): the minimizer must drop every other
+        // dimension and keep the failing one.
+        let sample = Sample {
             steal_latency: Some(3),
             banks: 4,
             tiles: 4,
             ntasks: 512,
             admission: true,
+            stepped: true,
+            faults: Some(1),
+            kill: Some(2),
+            profile: true,
         };
-        let min = minimize(&sample, &|c: &ConfigSample| c.banks > 1);
-        assert_eq!(min.steal_latency, None);
-        assert_eq!(min.banks, 4, "the failing knob survives");
-        assert!(!min.admission);
-        assert_eq!(min.tiles, 1);
-        assert_eq!(min.ntasks, 256);
+        let report = Source::Suite("saxpy".to_string()).load().unwrap().report;
+        let banked: &dyn Fn(&Sample) -> bool = &|c| c.banks > 1;
+        let stepped: &dyn Fn(&Sample) -> bool = &|c| c.stepped;
+        let min = minimize(&sample, &report, &banked);
+        assert_eq!(min, Sample { banks: 4, ..Sample::baseline() }, "the failing knob survives");
+        let min = minimize(&sample, &report, &stepped);
+        assert_eq!(min, Sample { stepped: true, ..Sample::baseline() });
+    }
+
+    #[test]
+    fn minimize_never_crosses_the_analyzers_deadlock_boundary() {
+        // A 4-entry queue is safe for the recursive workloads only with
+        // admission control armed. Dropping admission would turn the
+        // synthetic banked-cache failure into a deadlock the minimizer
+        // made itself, so the minimized sample must keep it, stay proven
+        // safe, and run clean.
+        for name in ["mergesort", "fib"] {
+            let p = Source::Suite(name.to_string()).load().unwrap();
+            let sample = Sample {
+                steal_latency: Some(2),
+                banks: 4,
+                tiles: 2,
+                ntasks: 4,
+                admission: true,
+                ..Sample::baseline()
+            };
+            let min = minimize(&sample, &p.report, &|c: &Sample| c.banks > 1);
+            assert!(min.admission, "{name}: minimized to an unsafe queue: {}", p.repro(&min));
+            assert!(min.is_safe(&p.report), "{name}");
+            assert_eq!((min.steal_latency, min.tiles), (None, 1), "{name}");
+            check_sample(&p, &min, None).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
     }
 
     #[test]
     fn repro_string_round_trips_the_knobs() {
-        let s = ConfigSample {
+        let s = Sample {
             steal_latency: Some(2),
             banks: 2,
             tiles: 3,
             ntasks: 32,
             admission: false,
+            ..Sample::baseline()
         };
+        let source = Source::Suite("saxpy".to_string());
+        let line = s.repro(&source, "saxpy");
         assert_eq!(
-            s.repro("saxpy"),
-            "workload=saxpy steal=2 banks=2 tiles=3 ntasks=32 admission=false"
+            line,
+            "workload=saxpy steal=2 banks=2 tiles=3 ntasks=32 admission=false \
+             engine=event faults=off kill=off profile=off"
         );
+        assert_eq!(parse_repro(&line), Ok((source, s)));
+        replay_repro(&line).expect("a suite repro line replays clean");
     }
 }

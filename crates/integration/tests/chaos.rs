@@ -8,10 +8,8 @@
 use std::path::PathBuf;
 
 use tapas::dfg::LatencyModel;
-use tapas::{
-    AcceleratorConfig, AdmissionControl, FaultPlan, ProfileLevel, SimError, StealConfig, Toolchain,
-};
-use tapas_integration::{chaos_check, run_chaos_cell, ChaosCell, ConfigSample};
+use tapas::{AcceleratorConfig, AdmissionControl, SimError, StealConfig, Toolchain};
+use tapas_integration::{check_sample, Campaign, Cell, Program, Sample, Source, Verdict};
 use tapas_workloads::rng::SplitMix64;
 use tapas_workloads::{suite_small, BuiltWorkload};
 
@@ -30,15 +28,25 @@ fn base_cfg(wl: &BuiltWorkload) -> AcceleratorConfig {
         .unwrap()
 }
 
+/// A kill sample: `tiles` on every unit, a queue deep enough for the
+/// recursive workloads without admission control.
+fn kill_sample(tiles: usize, salt: u64) -> Sample {
+    Sample { tiles, ntasks: 512, kill: Some(salt), ..Sample::baseline() }
+}
+
 #[test]
 fn kill_and_resume_is_identity_across_the_suite() {
     let mut rng = SplitMix64::new(0x000C_4A05_C4A0);
     for wl in suite_small() {
-        let cfg = base_cfg(&wl);
+        let p = Program::suite(wl).unwrap();
         for _ in 0..2 {
-            let v = chaos_check(&wl, &cfg, rng.next_u64())
-                .unwrap_or_else(|e| panic!("{}: {e}", wl.name));
-            assert!(v.kill_cycle > 0, "{}: golden run long enough to kill", wl.name);
+            let v = check_sample(&p, &kill_sample(2, rng.next_u64()), None)
+                .unwrap_or_else(|e| panic!("{}: {e}", p.wl.name));
+            assert!(
+                matches!(v, Verdict::Matched(Some(k)) if k > 0),
+                "{}: golden run long enough to kill",
+                p.wl.name
+            );
         }
     }
 }
@@ -49,11 +57,18 @@ fn kill_and_resume_covers_steal_banks_admission_and_profiler() {
     for wl in suite_small() {
         // Everything on at once: stealing, 4 L1 banks, a queue small
         // enough that admission control actually spills, profiler armed.
-        let sample =
-            ConfigSample { steal_latency: Some(2), banks: 4, tiles: 3, ntasks: 4, admission: true };
-        let mut cfg = sample.config(&wl);
-        cfg.profile = ProfileLevel::Summary;
-        chaos_check(&wl, &cfg, rng.next_u64()).unwrap_or_else(|e| panic!("{}: {e}", wl.name));
+        let p = Program::suite(wl).unwrap();
+        let sample = Sample {
+            steal_latency: Some(2),
+            banks: 4,
+            tiles: 3,
+            ntasks: 4,
+            admission: true,
+            profile: true,
+            kill: Some(rng.next_u64()),
+            ..Sample::baseline()
+        };
+        check_sample(&p, &sample, None).unwrap_or_else(|e| panic!("{}: {e}", p.wl.name));
     }
 }
 
@@ -62,18 +77,19 @@ fn kill_and_resume_is_identity_under_masked_fault_plans() {
     // Fault-armed runs either complete with golden output (masked) or fail
     // with a typed error (detected). The identity contract applies to the
     // masked ones; detected plans are covered by the deadlock test below.
-    let wl = tapas_workloads::matrix_add::build(16);
+    let p = Program::suite(tapas_workloads::matrix_add::build(16)).unwrap();
     let mut verified = 0usize;
     for seed in 0..8u64 {
-        let cfg = AcceleratorConfig::builder()
-            .tiles(4)
-            .mem_bytes(wl.mem.len().next_power_of_two().max(1 << 20))
-            .faults(FaultPlan::random(seed))
-            .build()
-            .unwrap();
-        match chaos_check(&wl, &cfg, 0x5EED ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)) {
-            Ok(_) => verified += 1,
-            Err(e) if e.starts_with("golden run:") => {} // detected fault: no golden to match
+        let sample = Sample {
+            tiles: 4,
+            ntasks: AcceleratorConfig::default().ntasks,
+            faults: Some(seed),
+            kill: Some(0x5EED ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            ..Sample::baseline()
+        };
+        match check_sample(&p, &sample, None) {
+            Ok(Verdict::Matched(_)) => verified += 1,
+            Ok(Verdict::Detected) => {}
             Err(e) => panic!("fault seed {seed}: {e}"),
         }
     }
@@ -279,6 +295,10 @@ fn a_snapshot_from_a_design_with_other_latencies_is_rejected() {
     }
 }
 
+fn run(cell: &Cell, snapshot: Option<(&std::path::Path, u64)>) -> Result<usize, String> {
+    cell.run(&cell.source.load()?, snapshot)
+}
+
 #[test]
 fn chaos_cells_honor_an_on_disk_snapshot_assignment() {
     // The executor path: `--snapshot-every N` hands the cell a stable
@@ -286,8 +306,9 @@ fn chaos_cells_honor_an_on_disk_snapshot_assignment() {
     // the disk resume is verified too. The harness cleans up after itself.
     let path = tmp("cell-assignment");
     let prev = tapas::sim::snapshot::prev_path(&path);
-    let cell = ChaosCell { workload: "mergesort".to_string(), seed: 11, trials: 1 };
-    assert_eq!(tapas_integration::run_chaos_cell_with(&cell, Some((path.clone(), 20))), Ok(1));
+    let source = Source::Suite("mergesort".to_string());
+    let cell = Cell { campaign: Campaign::Chaos, source, seed: 11, samples: 1 };
+    assert_eq!(run(&cell, Some((&path, 20))), Ok(1));
     assert!(!path.exists() && !prev.exists(), "trial snapshots removed after verification");
 }
 
@@ -296,11 +317,12 @@ fn chaos_cells_shard_the_sweep() {
     // One real trial per workload through the cell API the sweep executor
     // (and the bench `chaos` experiment) drives.
     for cell in tapas_integration::chaos_cells(0x0BAD_C0DE, 1) {
-        assert_eq!(run_chaos_cell(&cell), Ok(1), "{}", cell.workload);
+        assert_eq!(run(&cell, None), Ok(1), "{}", cell.source);
     }
     // Trials scale the verified count.
-    let cell = ChaosCell { workload: "saxpy".to_string(), seed: 7, trials: 2 };
-    assert_eq!(run_chaos_cell(&cell), Ok(2));
+    let source = Source::Suite("saxpy".to_string());
+    let cell = Cell { campaign: Campaign::Chaos, source, seed: 7, samples: 2 };
+    assert_eq!(run(&cell, None), Ok(2));
 }
 
 /// FNV-1a 64 over a whole snapshot file image.

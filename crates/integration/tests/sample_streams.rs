@@ -10,13 +10,9 @@
 //! that perturbs any draw (or the RNG consumption between draws) fails
 //! here. On mismatch it prints the rendering and the new hash.
 
-use tapas_integration::fuzz::{fuzz_cells, FuzzSample};
-use tapas_integration::{chaos_cells, differential_cells, ConfigSample};
-use tapas_workloads::rng::SplitMix64;
+use tapas_integration::fuzz::fuzz_cells;
+use tapas_integration::{chaos_cells, differential_cells, Sample, Source, SWEEP_SEED};
 use tapas_workloads::suite_small;
-
-/// The campaigns' fixed seed.
-const SWEEP_SEED: u64 = 0x7A9A_5CAF;
 
 /// FNV-1a 64 of the rendering of all three campaigns' streams.
 const LOCKED_STREAMS: u64 = 0x64fa_7cd3_ecf2_22a1;
@@ -29,62 +25,45 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// One sample, every dimension in a fixed order: steal, banks, tiles,
 /// ntasks, admission, stepped core, fault seed, kill salt, profiler.
-fn render(
-    out: &mut String,
-    c: &ConfigSample,
-    stepped: bool,
-    faults: Option<u64>,
-    kill: Option<u64>,
-    profile: bool,
-) {
+fn render(out: &mut String, s: &Sample) {
     out.push_str(&format!(
-        "  {:?} {} {} {} {} {stepped} {faults:?} {kill:?} {profile}\n",
-        c.steal_latency, c.banks, c.tiles, c.ntasks, c.admission
+        "  {:?} {} {} {} {} {} {:?} {:?} {}\n",
+        s.steal_latency,
+        s.banks,
+        s.tiles,
+        s.ntasks,
+        s.admission,
+        s.stepped,
+        s.faults,
+        s.kill,
+        s.profile
     ));
-}
-
-fn suite_recursive(name: &str) -> bool {
-    let wl = suite_small().into_iter().find(|w| w.name == name).unwrap();
-    tapas_analyze::analyze(&wl.module, wl.func, &wl.args).unwrap().recursive
 }
 
 fn streams() -> String {
     let mut out = String::new();
-    for cell in differential_cells(SWEEP_SEED, 3) {
-        out.push_str(&format!(
-            "differential {} {:#x} {}\n",
-            cell.workload, cell.seed, cell.samples
-        ));
-        let recursive = suite_recursive(&cell.workload);
-        let mut rng = SplitMix64::new(cell.seed);
-        for _ in 0..cell.samples {
-            let s = ConfigSample::draw(&mut rng, recursive);
-            render(&mut out, &s, false, None, None, false);
-        }
-    }
-    for cell in chaos_cells(SWEEP_SEED, 2) {
-        out.push_str(&format!("chaos {} {:#x} {}\n", cell.workload, cell.seed, cell.trials));
-        let recursive = suite_recursive(&cell.workload);
-        let mut rng = SplitMix64::new(cell.seed);
-        for _ in 0..cell.trials {
-            let s = ConfigSample::draw(&mut rng, recursive);
-            let profile = rng.chance(1, 2);
-            let salt = rng.next_u64();
-            render(&mut out, &s, false, None, Some(salt), profile);
-        }
-    }
-    for cell in fuzz_cells(SWEEP_SEED, 8, 4) {
-        out.push_str(&format!("fuzz {:#x} {}\n", cell.seed, cell.configs));
-        let g = tapas_gen::generate(cell.seed);
-        let report = tapas_analyze::analyze(&g.wl.module, g.wl.func, &g.wl.args).unwrap();
-        let mut rng = SplitMix64::new(cell.seed ^ 0xd1b5_4a32_d192_ed03);
-        for i in 0..cell.configs {
-            let s = if i == 0 {
-                FuzzSample::baseline()
-            } else {
-                FuzzSample::draw(&mut rng, g.shape.is_recursive(), &report)
+    let campaigns = [
+        ("differential", differential_cells(SWEEP_SEED, 3)),
+        ("chaos", chaos_cells(SWEEP_SEED, 2)),
+        ("fuzz", fuzz_cells(SWEEP_SEED, 8, 4)),
+    ];
+    for (campaign, cells) in campaigns {
+        for cell in cells {
+            let wl = match &cell.source {
+                Source::Suite(name) => {
+                    out.push_str(&format!("{campaign} {name} {:#x} ", cell.seed));
+                    suite_small().into_iter().find(|w| &w.name == name).unwrap()
+                }
+                Source::Gen(seed) => {
+                    out.push_str(&format!("{campaign} {seed:#x} "));
+                    tapas_gen::generate(*seed).wl
+                }
             };
-            render(&mut out, &s.cfg, s.stepped, s.faults, s.kill, false);
+            out.push_str(&format!("{}\n", cell.samples));
+            let report = tapas_analyze::analyze(&wl.module, wl.func, &wl.args).unwrap();
+            for s in cell.draw(&report) {
+                render(&mut out, &s);
+            }
         }
     }
     out

@@ -5,10 +5,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The differential sweep seed: must match SWEEP_SEED in
-# tests/differential.rs so a failure here replays locally unchanged.
-DIFF_SEED=0x7A9A5CAF
-
 gate() {
   local name="$1"; shift
   echo "==> ${name}"
@@ -107,12 +103,16 @@ fuzzsim_gate() {
   # Generated-traffic differential campaign: every seed expands into a
   # lint-proven program checked against the interpreter golden model
   # across the sampled feature matrix; the dump must round-trip the
-  # schema check and a known-clean repro line must replay clean.
+  # schema check and known-clean repro lines (a generated program and a
+  # suite workload) must replay clean.
   timeout 300 ./target/release/reproduce fuzzsim --jobs 4 --no-checkpoint \
       --json /tmp/fuzzsim.json >/dev/null
   ./target/release/reproduce check-json /tmp/fuzzsim.json
   ./target/release/reproduce fuzzsim --repro \
-      "seed=0x0 steal=off banks=1 tiles=1 ntasks=256 admission=false engine=event faults=off kill=off" \
+      "seed=0x0 steal=off banks=1 tiles=1 ntasks=256 admission=false engine=event faults=off kill=off profile=off" \
+      >/dev/null
+  ./target/release/reproduce fuzzsim --repro \
+      "workload=fib steal=2 banks=4 tiles=2 ntasks=4 admission=true engine=event faults=off kill=0x2a profile=summary" \
       >/dev/null
 }
 
@@ -134,13 +134,6 @@ perfbench_gate() {
   done
 }
 
-differential_sweep() {
-  # Seeded random configs (steal x banks x tiles x ntasks x admission)
-  # against the interpreter golden model; seed ${DIFF_SEED} is fixed in
-  # tests/differential.rs.
-  timeout 300 cargo test -q -p tapas-integration --test differential
-}
-
 gate "cargo fmt --check" cargo fmt --all -- --check
 gate "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
 gate "cargo build --release" cargo build --release --workspace
@@ -155,7 +148,6 @@ gate "sweep executor (fault-isolation + resume gate)" executor_gate
 gate "chaos (kill-and-resume crash-consistency gate)" chaos_gate
 gate "fuzzsim (generated-traffic differential gate)" fuzzsim_gate
 gate "perfbench (benchmark correctness gate)" perfbench_gate
-gate "differential sweep (seed ${DIFF_SEED})" differential_sweep
 gate "parser fuzz corpus (crash-hardening gate)" timeout 300 cargo test -q -p tapas-ir --test parse_fuzz
 
 echo "All checks passed."

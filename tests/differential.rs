@@ -5,27 +5,34 @@
 //! samples additionally checked cycle-identical to the seed twin. See
 //! `tapas_integration` for the harness and the minimizer.
 
-use tapas_integration::{boundary_sweep, check_sample, differential_sweep, ConfigSample};
+use tapas_integration::{
+    boundary_sweep, check_sample, differential_cells, Program, Sample, SWEEP_SEED,
+};
 use tapas_workloads::saxpy;
 
-/// The fixed sweep seed; `scripts/check.sh` runs the same seed so a CI
-/// failure here reproduces locally with no extra flags.
-const SWEEP_SEED: u64 = 0x7A9A_5CAF;
+/// Run every cell of the differential sweep; returns the checks made.
+fn sweep(seed: u64, samples_per_workload: usize) -> usize {
+    differential_cells(seed, samples_per_workload)
+        .iter()
+        .map(|cell| {
+            let program = cell.source.load().unwrap_or_else(|e| panic!("{e}"));
+            cell.run(&program, None).unwrap_or_else(|e| panic!("{e}"))
+        })
+        .sum()
+}
 
 #[test]
 fn sweep_small_suite_against_golden_and_seed_timing() {
-    let checked = differential_sweep(SWEEP_SEED, 3).unwrap_or_else(|e| panic!("{e}"));
     // 7 workloads × 3 samples each; a shrunken sweep means the suite or
     // the sampler changed shape and this lockdown needs a fresh look.
-    assert_eq!(checked, 21);
+    assert_eq!(sweep(SWEEP_SEED, 3), 21);
 }
 
 #[test]
 fn a_second_seed_also_passes() {
     // One more stream so a knob interaction hiding behind the first
     // seed's draw order still gets a chance to surface.
-    let checked = differential_sweep(SWEEP_SEED ^ 0xffff, 2).unwrap_or_else(|e| panic!("{e}"));
-    assert_eq!(checked, 14);
+    assert_eq!(sweep(SWEEP_SEED ^ 0xffff, 2), 14);
 }
 
 #[test]
@@ -45,10 +52,10 @@ fn sweep_the_analyzers_safe_unsafe_ntasks_boundary() {
 
 #[test]
 fn check_sample_accepts_a_known_good_config() {
-    let wl = saxpy::build(128);
+    let p = Program::suite(saxpy::build(128)).unwrap();
     let sample =
-        ConfigSample { steal_latency: Some(4), banks: 4, tiles: 2, ntasks: 32, admission: false };
-    check_sample(&wl, &sample).unwrap();
+        Sample { steal_latency: Some(4), banks: 4, tiles: 2, ntasks: 32, ..Sample::baseline() };
+    check_sample(&p, &sample, None).unwrap();
 }
 
 #[test]
@@ -56,9 +63,8 @@ fn disabled_sample_exercises_the_seed_twin_comparison() {
     // A features-disabled sample takes the cycle-identity branch: the
     // config built with `.steal()`/`.l1_banks()` left untouched must time
     // exactly like one that never mentions the knobs at all.
-    let wl = saxpy::build(128);
-    let sample =
-        ConfigSample { steal_latency: None, banks: 1, tiles: 3, ntasks: 16, admission: true };
+    let p = Program::suite(saxpy::build(128)).unwrap();
+    let sample = Sample { tiles: 3, ntasks: 16, admission: true, ..Sample::baseline() };
     assert!(sample.features_disabled());
-    check_sample(&wl, &sample).unwrap();
+    check_sample(&p, &sample, None).unwrap();
 }
