@@ -50,7 +50,9 @@
 //! against the interpreter golden model across sampled feature configs.
 //! Its extra flags: `--seeds <N>` sets the campaign size (default 8),
 //! and `--repro "<line>"` replays a minimized one-line repro string from
-//! a failure report instead of running the campaign.
+//! a failure report instead of running the campaign (a line whose
+//! configuration the builder refuses, such as an out-of-limit `ntasks`,
+//! exits 2 before anything is built).
 //!
 //! The sweep summary and checkpoint notes go to **stderr**; stdout
 //! carries exactly the experiment's tables, so piped output is identical
@@ -198,6 +200,7 @@ fn main() {
                 println!("repro: clean (no divergence)");
                 return;
             }
+            Err(tapas_integration::ReplayError::Config(e)) => usage_exit(&format!("repro: {e}")),
             Err(e) => {
                 eprintln!("repro: {e}");
                 std::process::exit(1);

@@ -88,6 +88,21 @@ fn malformed_repro_line_exits_nonzero() {
 }
 
 #[test]
+fn out_of_limit_repro_line_is_a_usage_error() {
+    // A repro line is outside input: an absurd queue depth is refused by
+    // the configuration's limits before any accelerator is elaborated.
+    assert_usage_error(
+        &[
+            "fuzzsim",
+            "--repro",
+            "seed=0x0 steal=off banks=1 tiles=1 ntasks=1099511627776 admission=false \
+             engine=event faults=off kill=off profile=off",
+        ],
+        "repro: config: ntasks = 1099511627776 is above the limit of 65536",
+    );
+}
+
+#[test]
 fn clean_repro_line_replays_and_reports_clean() {
     // A baseline config for seed 0 must pass on a healthy engine, and so
     // must a suite workload's line (as a differential or chaos failure

@@ -10,9 +10,10 @@
 //!   the sweep keeps going; one wedged simulation can no longer take down
 //!   a whole matrix.
 //! * **Watchdog timeout** — each attempt runs under an optional
-//!   wall-clock limit; an attempt that outlives it is abandoned (its
-//!   thread is leaked, by design — there is no safe way to kill it) and
-//!   recorded as [`CellStatus::TimedOut`].
+//!   wall-clock limit on its worker's long-lived runner thread; an
+//!   attempt that outlives it is abandoned (the runner is leaked, by
+//!   design — there is no safe way to kill it — and the next attempt gets
+//!   a fresh one) and recorded as [`CellStatus::TimedOut`].
 //! * **Bounded retry + quarantine** — failed attempts retry with
 //!   exponential backoff up to [`Policy::max_attempts`]; a cell that
 //!   fails every attempt with a plain error is [`CellStatus::Quarantined`]
@@ -452,7 +453,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Silence the default panic hook for executor threads (worker and
-/// watchdog threads are named `cell-…`), so isolated cell panics don't
+/// watchdog runner threads are named `cell-…`), so isolated cell panics don't
 /// spray backtraces over the report. Installed by the `reproduce` CLI;
 /// deliberately **not** installed by the library — the hook is
 /// process-global and test harnesses run cells from arbitrary threads.
@@ -467,11 +468,77 @@ pub fn install_quiet_panic_hook() {
     }));
 }
 
+/// How one attempt ended on the thread that ran it.
+type Outcome<T> = std::thread::Result<Result<T, String>>;
+
+/// One attempt's body, shipped to a watchdog runner.
+type Body<T> = Box<dyn FnOnce() -> Result<T, String> + Send>;
+
+/// A worker's watchdog: one long-lived runner thread (named `cell-…`)
+/// fed attempts over a channel, spawned on the first armed attempt. An
+/// attempt that outlives the limit abandons its runner — a wedged attempt
+/// cannot be killed, so the thread is leaked, by design, and only ever
+/// touches its dead channel ends — and the next attempt gets a fresh one.
+struct Watchdog<T> {
+    worker: usize,
+    runner: Option<Runner<T>>,
+}
+
+struct Runner<T> {
+    bodies: mpsc::Sender<Body<T>>,
+    outcomes: mpsc::Receiver<Outcome<T>>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl<T: Send + 'static> Watchdog<T> {
+    fn new(worker: usize) -> Self {
+        Watchdog { worker, runner: None }
+    }
+
+    /// Run `body` on the runner; `None` when it outlived `limit`.
+    fn run(&mut self, body: Body<T>, limit: Duration) -> Option<Outcome<T>> {
+        let runner = self.runner.get_or_insert_with(|| {
+            let (bodies, inbox) = mpsc::channel::<Body<T>>();
+            let (outbox, outcomes) = mpsc::channel();
+            let thread = std::thread::Builder::new()
+                .name(format!("cell-runner-{}", self.worker))
+                .spawn(move || {
+                    for body in inbox {
+                        if outbox.send(panic::catch_unwind(AssertUnwindSafe(body))).is_err() {
+                            return;
+                        }
+                    }
+                })
+                .expect("spawn watchdog runner");
+            Runner { bodies, outcomes, thread }
+        });
+        // A send or receive can only fail on a runner that is gone; it is
+        // replaced like a wedged one.
+        let outcome =
+            runner.bodies.send(body).ok().and_then(|()| runner.outcomes.recv_timeout(limit).ok());
+        if outcome.is_none() {
+            self.runner = None;
+        }
+        outcome
+    }
+}
+
+impl<T> Drop for Watchdog<T> {
+    /// Close the idle runner's inbox and wait for it to exit.
+    fn drop(&mut self) {
+        if let Some(Runner { bodies, thread, .. }) = self.runner.take() {
+            drop(bodies);
+            let _ = thread.join();
+        }
+    }
+}
+
 /// Run one attempt of a cell, honoring injection and the watchdog.
 fn run_attempt<T: Send + 'static>(
     cell: &Cell<T>,
     attempt: u32,
     policy: &Policy,
+    watchdog: &mut Watchdog<T>,
 ) -> Result<T, FailKind> {
     let inject = &policy.inject;
     if inject.flaky_cells.iter().any(|(id, n)| *id == cell.id && attempt <= *n) {
@@ -491,49 +558,36 @@ fn run_attempt<T: Send + 'static>(
             panic!("injected panic");
         }
         if forced_timeout {
-            // Wedge past the watchdog, then exit quietly on the leaked
-            // thread.
+            // Wedge past the watchdog, then exit quietly on the abandoned
+            // runner.
             std::thread::sleep(oversleep);
             return Err("watchdog did not fire".to_string());
         }
         run(&ctx)
     };
-    match policy.timeout {
-        None => match panic::catch_unwind(AssertUnwindSafe(body)) {
-            Ok(Ok(v)) => Ok(v),
-            Ok(Err(e)) => Err(FailKind::Error(e)),
-            Err(p) => Err(FailKind::Panic(panic_message(p))),
-        },
-        Some(limit) => {
-            let (tx, rx) = mpsc::channel();
-            // Detached on purpose: a wedged attempt cannot be killed, so
-            // on timeout the thread is abandoned and only ever touches
-            // its dead channel end.
-            std::thread::Builder::new()
-                .name(format!("cell-{}", cell.id))
-                .spawn(move || {
-                    let outcome = panic::catch_unwind(AssertUnwindSafe(body));
-                    let _ = tx.send(outcome);
-                })
-                .expect("spawn watchdog thread");
-            match rx.recv_timeout(limit) {
-                Ok(Ok(Ok(v))) => Ok(v),
-                Ok(Ok(Err(e))) => Err(FailKind::Error(e)),
-                Ok(Err(p)) => Err(FailKind::Panic(panic_message(p))),
-                Err(_) => Err(FailKind::Timeout),
-            }
-        }
+    let outcome = match policy.timeout {
+        None => panic::catch_unwind(AssertUnwindSafe(body)),
+        Some(limit) => watchdog.run(Box::new(body), limit).ok_or(FailKind::Timeout)?,
+    };
+    match outcome {
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(e)) => Err(FailKind::Error(e)),
+        Err(p) => Err(FailKind::Panic(panic_message(p))),
     }
 }
 
 /// Drive one cell to a terminal record: attempt, retry with exponential
 /// backoff, classify the last failure.
-fn run_cell<T: Send + 'static>(cell: &Cell<T>, policy: &Policy) -> CellRecord<T> {
+fn run_cell<T: Send + 'static>(
+    cell: &Cell<T>,
+    policy: &Policy,
+    watchdog: &mut Watchdog<T>,
+) -> CellRecord<T> {
     let max_attempts = policy.max_attempts.max(1);
     let mut attempts = 0;
     loop {
         attempts += 1;
-        match run_attempt(cell, attempts, policy) {
+        match run_attempt(cell, attempts, policy, watchdog) {
             Ok(payload) => {
                 let (status, detail) = if attempts > 1 {
                     (CellStatus::Retried, format!("succeeded on attempt {attempts}"))
@@ -608,20 +662,23 @@ pub fn run_sweep<T: Clone + Send + Sync + 'static>(
             let (slots, pending, next, completed) = (&slots, &pending, &next, &completed);
             std::thread::Builder::new()
                 .name(format!("cell-worker-{worker}"))
-                .spawn_scoped(scope, move || loop {
-                    if let Some(halt) = policy.halt_after {
-                        if completed.load(Ordering::SeqCst) >= halt {
-                            return;
+                .spawn_scoped(scope, move || {
+                    let mut watchdog = Watchdog::new(worker);
+                    loop {
+                        if let Some(halt) = policy.halt_after {
+                            if completed.load(Ordering::SeqCst) >= halt {
+                                return;
+                            }
                         }
+                        let claim = next.fetch_add(1, Ordering::SeqCst);
+                        let Some(&index) = pending.get(claim) else { return };
+                        let record = run_cell(&cells[index], policy, &mut watchdog);
+                        if let Some(j) = journal {
+                            j.append(&record);
+                        }
+                        *slots[index].lock().expect("slot lock") = Some(record);
+                        completed.fetch_add(1, Ordering::SeqCst);
                     }
-                    let claim = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(&index) = pending.get(claim) else { return };
-                    let record = run_cell(&cells[index], policy);
-                    if let Some(j) = journal {
-                        j.append(&record);
-                    }
-                    *slots[index].lock().expect("slot lock") = Some(record);
-                    completed.fetch_add(1, Ordering::SeqCst);
                 })
                 .expect("spawn sweep worker");
         }
@@ -724,6 +781,69 @@ mod tests {
         assert!(report.records[0].detail.contains("50ms watchdog"));
         assert_eq!(report.records[1].payload, Some(7));
         assert!(report.wall < Duration::from_secs(4), "the sweep must not wait out the wedge");
+    }
+
+    /// The thread each logged cell ran on, in run order.
+    type ThreadLog = Arc<Mutex<Vec<(std::thread::ThreadId, String)>>>;
+
+    /// Cell `bad` panics and every other cell returns `i * i`; each logs
+    /// the thread it ran on first.
+    fn logged_cells(ids: &[&str], log: &ThreadLog) -> Vec<Cell<usize>> {
+        (0..)
+            .zip(ids)
+            .map(|(i, &id)| {
+                let (log, bad) = (Arc::clone(log), id == "bad");
+                Cell::new(id, move || {
+                    let me = std::thread::current();
+                    log.lock().unwrap().push((me.id(), me.name().unwrap_or("").to_string()));
+                    assert!(!bad, "boom");
+                    Ok(i * i)
+                })
+            })
+            .collect()
+    }
+
+    /// Everything a record says but the watchdog limit in its detail.
+    fn outcomes(report: &SweepReport<usize>) -> Vec<(String, CellStatus, u32, Option<usize>)> {
+        report.records.iter().map(|r| (r.id.clone(), r.status, r.attempts, r.payload)).collect()
+    }
+
+    #[test]
+    fn the_runner_survives_a_panicking_cell() {
+        let ids = ["bad", "a", "b", "c"];
+        let log = ThreadLog::default();
+        let mut policy = Policy::serial();
+        policy.timeout = Some(Duration::from_secs(60));
+        let report = run_sweep(&logged_cells(&ids, &log), &policy, None);
+        let serial = run_sweep(&logged_cells(&ids, &ThreadLog::default()), &Policy::serial(), None);
+        assert_eq!(outcomes(&report), outcomes(&serial));
+        assert_eq!(report.records[0].detail, "boom");
+        assert_eq!(report.records[3].payload, Some(9));
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), 4);
+        assert!(log.iter().all(|t| *t == log[0]), "one runner ran every attempt: {log:?}");
+        assert_eq!(log[0].1, "cell-runner-0");
+    }
+
+    #[test]
+    fn a_timed_out_runner_is_replaced_by_a_fresh_one() {
+        let ids = ["a", "wedged", "b", "c"];
+        let log = ThreadLog::default();
+        let mut policy = Policy::serial();
+        policy.timeout = Some(Duration::from_millis(100));
+        policy.inject.parse_spec("timeout:wedged").unwrap();
+        let report = run_sweep(&logged_cells(&ids, &log), &policy, None);
+        let mut serial = Policy::serial();
+        serial.inject = policy.inject.clone();
+        let serial = run_sweep(&logged_cells(&ids, &ThreadLog::default()), &serial, None);
+        assert_eq!(outcomes(&report), outcomes(&serial));
+        assert_eq!(report.records[1].status, CellStatus::TimedOut);
+        assert_eq!(report.records[3].payload, Some(9));
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), 3, "the wedged attempt logs nothing");
+        assert_ne!(log[0].0, log[1].0, "the cell after the timeout runs on a fresh runner");
+        assert_eq!(log[1], log[2], "the fresh runner is reused");
+        assert!(log.iter().all(|(_, name)| name == "cell-runner-0"));
     }
 
     #[test]
@@ -838,7 +958,7 @@ mod tests {
                 Ok(7usize)
             }
         });
-        let record = run_cell(&cell, &policy);
+        let record = run_cell(&cell, &policy, &mut Watchdog::new(0));
         assert_eq!(record.status, CellStatus::Retried);
         assert_eq!(record.payload, Some(7));
 

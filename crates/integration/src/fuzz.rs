@@ -55,7 +55,7 @@ pub(crate) fn generated(seed: u64) -> Result<Program, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse_repro, replay_repro, Sample, SWEEP_SEED};
+    use crate::{parse_repro, replay_repro, ReplayError, Sample, SWEEP_SEED};
 
     #[test]
     fn cells_are_deterministic_and_decorrelated() {
@@ -110,13 +110,14 @@ mod tests {
         )
         .unwrap_err()
         .contains("does not match seed"));
-        // A line the builder rejects is an error, not a panic.
-        assert!(replay_repro(
-            "seed=0x0 steal=off banks=1 tiles=0 ntasks=8 \
-             admission=false engine=event faults=off kill=off profile=off"
-        )
-        .unwrap_err()
-        .contains("config"));
+        // A line the builder rejects is a typed error, not a panic.
+        assert!(matches!(
+            replay_repro(
+                "seed=0x0 steal=off banks=1 tiles=0 ntasks=8 \
+                 admission=false engine=event faults=off kill=off profile=off"
+            ),
+            Err(ReplayError::Config(e)) if e.contains("config")
+        ));
     }
 
     #[test]

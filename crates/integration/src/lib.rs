@@ -709,15 +709,40 @@ pub fn parse_repro(line: &str) -> Result<(Source, Sample), String> {
     Ok((source, sample))
 }
 
+/// Why a repro line did not replay clean.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReplayError {
+    /// The line names a configuration the builder refuses (a zero or an
+    /// out-of-limit size): a usage error, found before any accelerator is
+    /// built.
+    Config(String),
+    /// The line does not parse or load, or the divergence reproduces.
+    Failed(String),
+}
+
+impl std::fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReplayError::Config(e) | ReplayError::Failed(e) => f.write_str(e),
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
 /// Re-run a one-line repro string: rebuild its program and check the
 /// exact sample it names.
 ///
 /// # Errors
 ///
-/// A parse or load failure, or the divergence itself if it reproduces.
-pub fn replay_repro(line: &str) -> Result<(), String> {
-    let (source, sample) = parse_repro(line)?;
-    check_sample(&source.load()?, &sample, None).map(|_| ())
+/// [`ReplayError::Config`] when the builder refuses the sample;
+/// [`ReplayError::Failed`] for a parse or load failure, or the divergence
+/// itself if it reproduces.
+pub fn replay_repro(line: &str) -> Result<(), ReplayError> {
+    let (source, sample) = parse_repro(line).map_err(ReplayError::Failed)?;
+    let program = source.load().map_err(ReplayError::Failed)?;
+    sample.config(&program.wl, false).map_err(ReplayError::Config)?;
+    check_sample(&program, &sample, None).map(|_| ()).map_err(ReplayError::Failed)
 }
 
 #[cfg(test)]

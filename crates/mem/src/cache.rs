@@ -105,7 +105,7 @@ pub enum AccessOutcome {
     RejectSetBusy,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -308,15 +308,16 @@ impl Cache {
     }
 
     /// Capture the dynamic state (lines, MSHRs, counters, LRU clock) as a
-    /// plain-data image for the simulator's engine snapshot. Geometry is
+    /// plain-data image for the simulator's engine snapshot. Only the
+    /// line slots that differ from an empty line are kept. Geometry is
     /// not captured: [`Cache::restore_state`] targets a cache freshly
     /// built from the same [`CacheConfig`].
     pub fn save_state(&self) -> CacheState {
         CacheState {
-            lines: self
-                .lines
-                .iter()
-                .map(|l| (l.tag, l.valid, l.dirty, l.lru, l.fill_done))
+            lines: (0..)
+                .zip(&self.lines)
+                .filter(|&(_, l)| *l != EMPTY_LINE)
+                .map(|(slot, l)| (slot, l.tag, l.valid, l.dirty, l.lru, l.fill_done))
                 .collect(),
             mshrs: self.mshrs.iter().map(|m| (m.line_addr, m.done_at)).collect(),
             stats: self.stats,
@@ -326,22 +327,33 @@ impl Cache {
     }
 
     /// Restore state captured by [`Cache::save_state`] into a cache with
-    /// identical geometry. MSHR order is preserved exactly (merge lookups
-    /// scan in insertion order).
+    /// identical geometry: every slot the image does not list is reset to
+    /// an empty line. MSHR order is preserved exactly (merge lookups scan
+    /// in insertion order).
     ///
     /// # Errors
     ///
-    /// Fails when the image's line count does not match this geometry.
+    /// Fails, before touching the cache, when a listed slot is outside
+    /// this geometry or the slots are not strictly ascending.
     pub fn restore_state(&mut self, st: &CacheState) -> Result<(), String> {
-        if st.lines.len() != self.lines.len() {
-            return Err(format!(
-                "cache state has {} line slots, geometry has {}",
-                st.lines.len(),
-                self.lines.len()
-            ));
+        let mut prev = None;
+        for &(slot, ..) in &st.lines {
+            if slot >= self.lines.len() {
+                return Err(format!(
+                    "cache line slot {slot} is out of range 0..{}",
+                    self.lines.len()
+                ));
+            }
+            if let Some(prev) = prev.filter(|&p| p >= slot) {
+                return Err(format!(
+                    "cache line slots are not strictly ascending (slot {slot} after {prev})"
+                ));
+            }
+            prev = Some(slot);
         }
-        for (slot, &(tag, valid, dirty, lru, fill_done)) in self.lines.iter_mut().zip(&st.lines) {
-            *slot = Line { tag, valid, dirty, lru, fill_done };
+        self.lines.fill(EMPTY_LINE);
+        for &(slot, tag, valid, dirty, lru, fill_done) in &st.lines {
+            self.lines[slot] = Line { tag, valid, dirty, lru, fill_done };
         }
         self.mshrs =
             st.mshrs.iter().map(|&(line_addr, done_at)| Mshr { line_addr, done_at }).collect();
@@ -357,9 +369,10 @@ impl Cache {
 /// part of the snapshot payload contract.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheState {
-    /// One `(tag, valid, dirty, lru, fill_done)` tuple per line slot, in
-    /// slot order.
-    pub lines: Vec<(u64, bool, bool, u64, u64)>,
+    /// `(slot, tag, valid, dirty, lru, fill_done)` for each line slot
+    /// that differs from an empty line, in strictly ascending slot order;
+    /// every other slot is empty.
+    pub lines: Vec<(usize, u64, bool, bool, u64, u64)>,
     /// Outstanding `(line_addr, done_at)` MSHRs, in insertion order.
     pub mshrs: Vec<(u64, u64)>,
     /// Hit/miss counters.

@@ -14,7 +14,6 @@
 
 #![warn(missing_docs)]
 
-use std::borrow::Cow;
 use std::cell::OnceCell;
 
 mod cache;
@@ -126,7 +125,10 @@ pub enum RestoreError {
         /// This system's memory size in bytes (overflow arena included).
         mem_bytes: usize,
     },
-    /// The saved cache geometry (bank count, line counts, L2 presence)
+    /// The saved image's page list is malformed: a page index out of
+    /// range or out of order, or a page of the wrong length.
+    Page(String),
+    /// The saved cache geometry (bank count, line slots, L2 presence)
     /// does not match this system.
     Geometry(String),
 }
@@ -138,7 +140,7 @@ impl std::fmt::Display for RestoreError {
                 f,
                 "memory image is {image} bytes but the accelerator memory is {mem_bytes} bytes"
             ),
-            RestoreError::Geometry(e) => f.write_str(e),
+            RestoreError::Page(e) | RestoreError::Geometry(e) => f.write_str(e),
         }
     }
 }
@@ -533,15 +535,17 @@ impl MemSystem {
         base as u64
     }
 
-    /// Capture the full dynamic state — functional bytes, every cache
-    /// bank, DRAM channel and the in-flight response scoreboard — for the
-    /// engine snapshot. `pending` is saved in the heap's internal layout
-    /// order so restore reproduces the exact pop order for responses with
-    /// equal `ready_at` (see [`DataBox::save_state`]). The image is
-    /// borrowed, not copied: the snapshot encoder copies it once.
+    /// Capture the full dynamic state — the image's non-zero pages, every
+    /// cache bank, DRAM channel and the in-flight response scoreboard —
+    /// for the engine snapshot. `pending` is saved in the heap's internal
+    /// layout order so restore reproduces the exact pop order for
+    /// responses with equal `ready_at` (see [`DataBox::save_state`]).
+    /// Pages are borrowed, not copied, and an untouched image has none.
     pub fn save_state(&self) -> MemSystemState<'_> {
+        let image = self.data.get().map_or(&[][..], Vec::as_slice);
         MemSystemState {
-            data: Cow::Borrowed(self.image()),
+            len: self.size,
+            pages: image.chunks(PAGE_BYTES).enumerate().filter(|(_, p)| !is_zero(p)).collect(),
             cache: self.cache.save_state(),
             extra_banks: self.extra_banks.iter().map(Cache::save_state).collect(),
             l2: self.l2.as_ref().map(Cache::save_state),
@@ -553,17 +557,41 @@ impl MemSystem {
 
     /// Restore state captured by [`MemSystem::save_state`] into a system
     /// built from the same configuration (including [`Self::split_banks`]
-    /// and L2 setup, which shape the bank/L2 geometry). An owned image is
-    /// moved in, not copied, and the system's own image is never zeroed.
+    /// and L2 setup, which shape the bank/L2 geometry). The image is
+    /// zero-filled and the saved pages copied over it; every check runs
+    /// before the image is touched.
     ///
     /// # Errors
     ///
     /// [`RestoreError::ImageLength`] when the image is not this system's
-    /// size; [`RestoreError::Geometry`] when the bank count, line counts or
-    /// L2 presence do not match.
+    /// size; [`RestoreError::Page`] when a page is out of range, out of
+    /// order or of the wrong length; [`RestoreError::Geometry`] when the
+    /// bank count, line slots or L2 presence do not match.
     pub fn restore_state(&mut self, st: MemSystemState<'_>) -> Result<(), RestoreError> {
-        if st.data.len() != self.size {
-            return Err(RestoreError::ImageLength { image: st.data.len(), mem_bytes: self.size });
+        if st.len != self.size {
+            return Err(RestoreError::ImageLength { image: st.len, mem_bytes: self.size });
+        }
+        let npages = self.size.div_ceil(PAGE_BYTES);
+        let mut prev = None;
+        for &(index, bytes) in &st.pages {
+            if index >= npages {
+                return Err(RestoreError::Page(format!(
+                    "memory page {index} is out of range 0..{npages}"
+                )));
+            }
+            if let Some(prev) = prev.filter(|&p| p >= index) {
+                return Err(RestoreError::Page(format!(
+                    "memory pages are not strictly ascending (page {index} after {prev})"
+                )));
+            }
+            prev = Some(index);
+            let want = PAGE_BYTES.min(self.size - index * PAGE_BYTES);
+            if bytes.len() != want {
+                return Err(RestoreError::Page(format!(
+                    "memory page {index} is {} bytes, expected {want}",
+                    bytes.len()
+                )));
+            }
         }
         if st.extra_banks.len() != self.extra_banks.len() {
             return Err(RestoreError::Geometry(format!(
@@ -581,11 +609,21 @@ impl MemSystem {
                 ))
             }
         }
-        self.data = OnceCell::from(st.data.into_owned());
         self.cache.restore_state(&st.cache).map_err(RestoreError::Geometry)?;
         for (bank, saved) in self.extra_banks.iter_mut().zip(&st.extra_banks) {
             bank.restore_state(saved).map_err(RestoreError::Geometry)?;
         }
+        let mut data = self.data.take().map_or_else(
+            || vec![0; self.size],
+            |mut data| {
+                data.fill(0);
+                data
+            },
+        );
+        for &(index, bytes) in &st.pages {
+            data[index * PAGE_BYTES..][..bytes.len()].copy_from_slice(bytes);
+        }
+        self.data = OnceCell::from(data);
         self.dram.restore_state(&st.dram);
         self.last_bank = st.last_bank;
         self.pending = std::collections::BinaryHeap::from(
@@ -598,13 +636,29 @@ impl MemSystem {
     }
 }
 
+/// Whether every byte of `page` is zero, tested a word at a time.
+fn is_zero(page: &[u8]) -> bool {
+    let words = page.chunks_exact(8);
+    let tail = words.remainder();
+    let word = |w: &[u8]| u64::from_ne_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
+    words.fold(0, |acc, w| acc | word(w)) == 0 && tail.iter().all(|&b| b == 0)
+}
+
+/// Granule of the snapshot's sparse memory image.
+pub const PAGE_BYTES: usize = 4096;
+
 /// Plain-data image of the whole memory system's dynamic state (snapshot
-/// payload). The image borrows from the live system on capture and is
-/// owned when decoded from a payload.
+/// payload). Pages borrow from the live image on capture and from the
+/// payload when decoded.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemSystemState<'a> {
-    /// Functional backing store contents.
-    pub data: Cow<'a, [u8]>,
+    /// Functional backing store length in bytes.
+    pub len: usize,
+    /// The [`PAGE_BYTES`] pages of the image that hold a non-zero byte,
+    /// as `(page index, bytes)` in strictly ascending index order; every
+    /// other byte is zero. The last page is short when `len` is not a
+    /// multiple of [`PAGE_BYTES`].
+    pub pages: Vec<(usize, &'a [u8])>,
     /// L1 bank 0.
     pub cache: CacheState,
     /// L1 banks 1..N when banked.
@@ -749,22 +803,45 @@ mod tests {
     }
 
     #[test]
-    fn restore_moves_the_image_in_and_rejects_a_wrong_length() {
-        let mut src = MemSystem::new(256, CacheConfig::default(), DramConfig::default());
-        src.write_bytes(8, &[9; 8]);
-        let image = src.save_state().data.into_owned();
-        let at = image.as_ptr();
-        let mut dst = MemSystem::new(256, CacheConfig::default(), DramConfig::default());
-        let st = MemSystemState { data: Cow::Owned(image), ..src.save_state() };
-        dst.restore_state(st).unwrap();
-        assert_eq!(dst.image().as_ptr(), at, "the decoded image is moved, not copied");
-        assert_eq!(dst.read_bytes(0, 256), src.read_bytes(0, 256));
+    fn restore_zero_fills_unsaved_pages_and_rejects_a_wrong_length() {
+        let system = || MemSystem::new(10_000, CacheConfig::default(), DramConfig::default());
+        let untouched = system();
+        assert!(untouched.save_state().pages.is_empty());
+        assert!(untouched.data.get().is_none(), "capturing an untouched image allocates none");
 
-        let short = MemSystemState { data: Cow::Owned(vec![0; 128]), ..src.save_state() };
-        let mut dst = MemSystem::new(256, CacheConfig::default(), DramConfig::default());
-        let err = dst.restore_state(short).unwrap_err();
-        assert_eq!(err, RestoreError::ImageLength { image: 128, mem_bytes: 256 });
-        assert!(dst.data.get().is_none(), "a refused restore touches nothing");
+        // Pages 0 and 2 (the short last page) hold data; page 1 is zero.
+        let mut src = system();
+        src.write_bytes(8, &[9; 8]);
+        src.write_bytes(9_990, &[5; 10]);
+        let st = src.save_state();
+        assert_eq!(
+            st.pages.iter().map(|&(i, p)| (i, p.len())).collect::<Vec<_>>(),
+            [(0, PAGE_BYTES), (2, 10_000 - 2 * PAGE_BYTES)]
+        );
+        let mut dst = system();
+        dst.write_bytes(5_000, &[7; 8]);
+        dst.restore_state(st.clone()).unwrap();
+        assert_eq!(dst.read_bytes(0, 10_000), src.read_bytes(0, 10_000));
+
+        let refused = |st: MemSystemState<'_>| {
+            let mut dst = system();
+            let err = dst.restore_state(st).unwrap_err();
+            assert!(dst.data.get().is_none(), "a refused restore touches nothing");
+            err
+        };
+        let short = MemSystemState { len: 128, ..st.clone() };
+        assert_eq!(refused(short), RestoreError::ImageLength { image: 128, mem_bytes: 10_000 });
+        let page = src.read_bytes(0, PAGE_BYTES);
+        for (pages, want) in [
+            (vec![(3, page)], "memory page 3 is out of range 0..3"),
+            (vec![(1, page), (0, page)], "not strictly ascending (page 0 after 1)"),
+            (vec![(0, page), (0, page)], "not strictly ascending (page 0 after 0)"),
+            (vec![(0, &page[..100])], "memory page 0 is 100 bytes, expected 4096"),
+            (vec![(2, page)], "memory page 2 is 4096 bytes, expected 1808"),
+        ] {
+            let err = refused(MemSystemState { pages, ..st.clone() });
+            assert!(matches!(&err, RestoreError::Page(m) if m.contains(want)), "{want}: {err}");
+        }
     }
 }
 

@@ -9,7 +9,6 @@ use crate::fault::{
 use crate::profile::{NodeClass, Profile, ProfileLevel, QueueSummary, StallReason, TileProfile};
 use crate::snapshot::{Dec, Enc, EngineSnapshot, SnapshotError};
 use crate::AcceleratorConfig;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::num::NonZeroU16;
 use std::rc::Rc;
@@ -19,6 +18,7 @@ use tapas_ir::{mask_to_width, BlockId, CastKind, Constant, FuncId, Function, Mod
 use tapas_mem::{
     AccessOutcome, CacheState, CacheStats, DataBox, DataBoxConfig, DataBoxState, DramState,
     GrantClass, MemError, MemOpKind, MemReq, MemResp, MemSystem, MemSystemState, ReqId,
+    RestoreError,
 };
 use tapas_task::queue::{QueueOccupancy, QueueOccupancyState};
 use tapas_task::steal::{StealPort, StealPortState};
@@ -771,7 +771,8 @@ fn dec_resp_schedule(d: &mut Dec) -> Result<Vec<(u64, MemResp)>, String> {
 
 fn enc_cache(e: &mut Enc, st: &CacheState) {
     e.usize(st.lines.len());
-    for &(tag, valid, dirty, lru, fill_done) in &st.lines {
+    for &(slot, tag, valid, dirty, lru, fill_done) in &st.lines {
+        e.usize(slot);
         e.u64(tag);
         e.bool(valid);
         e.bool(dirty);
@@ -803,7 +804,7 @@ fn dec_cache(d: &mut Dec) -> Result<CacheState, String> {
     let nl = d.len()?;
     let mut lines = Vec::with_capacity(nl);
     for _ in 0..nl {
-        lines.push((d.u64()?, d.bool()?, d.bool()?, d.u64()?, d.u64()?));
+        lines.push((d.usize()?, d.u64()?, d.bool()?, d.bool()?, d.u64()?, d.u64()?));
     }
     let nm = d.len()?;
     let mut mshrs = Vec::with_capacity(nm);
@@ -830,8 +831,15 @@ fn dec_cache(d: &mut Dec) -> Result<CacheState, String> {
     Ok(CacheState { lines, mshrs, stats, tick, last_outcome })
 }
 
+/// The image is its length, then only its non-zero pages (index and
+/// bytes, ascending), so the encoding costs what the run touched.
 fn enc_mem_system(e: &mut Enc, st: &MemSystemState) {
-    e.bytes(&st.data);
+    e.usize(st.len);
+    e.usize(st.pages.len());
+    for &(index, bytes) in &st.pages {
+        e.usize(index);
+        e.bytes(bytes);
+    }
     enc_cache(e, &st.cache);
     e.usize(st.extra_banks.len());
     for b in &st.extra_banks {
@@ -851,8 +859,21 @@ fn enc_mem_system(e: &mut Enc, st: &MemSystemState) {
     enc_resp_schedule(e, &st.pending);
 }
 
-fn dec_mem_system(d: &mut Dec) -> Result<MemSystemState<'static>, String> {
-    let data = Cow::Owned(d.bytes()?.to_vec());
+/// Decode against an accelerator memory of `mem_bytes`: the image length
+/// is checked before anything is allocated; the pages' range, order and
+/// lengths are checked by [`MemSystem::restore_state`].
+fn dec_mem_system<'a>(d: &mut Dec<'a>, mem_bytes: usize) -> Result<MemSystemState<'a>, String> {
+    let len = d.usize()?;
+    if len != mem_bytes {
+        return Err(RestoreError::ImageLength { image: len, mem_bytes }.to_string());
+    }
+    let np = d.len()?;
+    let mut pages = Vec::with_capacity(np);
+    for _ in 0..np {
+        let index = d.usize()?;
+        let bytes = d.bytes().map_err(|e| format!("memory page {index}: {e}"))?;
+        pages.push((index, bytes));
+    }
     let cache = dec_cache(d)?;
     let nb = d.len()?;
     let mut extra_banks = Vec::with_capacity(nb);
@@ -870,7 +891,7 @@ fn dec_mem_system(d: &mut Dec) -> Result<MemSystemState<'static>, String> {
     };
     let last_bank = d.usize()?;
     let pending = dec_resp_schedule(d)?;
-    Ok(MemSystemState { data, cache, extra_banks, l2, dram, last_bank, pending })
+    Ok(MemSystemState { len, pages, cache, extra_banks, l2, dram, last_bank, pending })
 }
 
 fn enc_databox(e: &mut Enc, st: &DataBoxState) {
@@ -2134,7 +2155,7 @@ impl Accelerator {
             let meta = dec_req_meta(&mut d)?;
             self.req_map.insert(id, meta);
         }
-        let ms_state = dec_mem_system(&mut d)?;
+        let ms_state = dec_mem_system(&mut d, self.ms.size())?;
         self.ms.restore_state(ms_state).map_err(|e| e.to_string())?;
         let db_state = dec_databox(&mut d)?;
         self.databox.restore_state(&db_state)?;
@@ -5185,6 +5206,99 @@ mod admission_tests {
             ),
             other => panic!("expected a snapshot error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn restore_rejects_a_corrupt_sparse_image_or_line_list() {
+        // Three pages, the last one 10_000 - 2 * 4096 = 1808 bytes long.
+        let cfg =
+            AcceleratorConfig { ntasks: 4, mem_bytes: 10_000, ..AcceleratorConfig::default() };
+        let mut m = Module::new("m");
+        let f = build_pfor(&mut m);
+        let halt = AcceleratorConfig { halt_at_cycle: Some(400), ..cfg.clone() };
+        let mut acc = elaborate(&m, &halt);
+        acc.mem_mut().write_bytes(0, &pfor_mem(32));
+        assert!(matches!(acc.run(f, &[Val::Int(0), Val::Int(32)]), Err(SimError::Halted { .. })));
+        let snap = acc.capture_snapshot(RunCtl {
+            start_cycle: 0,
+            last_progress: acc.cycle,
+            next_snapshot: u64::MAX,
+            halt_at: None,
+            instrumented: false,
+            event_driven: true,
+        });
+        let st = acc.ms.save_state();
+        assert_eq!(st.pages.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [0]);
+        let lines = &st.cache.lines;
+        assert!(lines.len() >= 2, "two filled line slots to reorder");
+        let encode = |st: &MemSystemState| {
+            let mut e = Enc::default();
+            enc_mem_system(&mut e, st);
+            e.buf
+        };
+        let original = encode(&st);
+        let at = snap.payload.windows(original.len()).position(|w| w == original).unwrap();
+        const FULL: &[u8] = &[1; 4096];
+        const SHORT: &[u8] = &[1; 1808];
+        let pages = |pages: Vec<(usize, &'static [u8])>| MemSystemState { pages, ..st.clone() };
+        let cache_lines = |lines| MemSystemState {
+            cache: CacheState { lines, ..st.cache.clone() },
+            ..st.clone()
+        };
+        let slots = acc.ms.cache.config().sets() as usize * acc.ms.cache.config().ways as usize;
+        let mut out_of_range = lines.clone();
+        out_of_range.last_mut().unwrap().0 = slots;
+        let mut reversed = lines.clone();
+        reversed.swap(0, 1);
+        let mut repeated = lines.clone();
+        repeated[1].0 = repeated[0].0;
+        // The first page's bytes start after the length, the page count,
+        // its index and its byte count.
+        let slot_range = format!("cache line slot {slots} is out of range 0..{slots}");
+        let torn = snap.payload[..at + 32 + 100].to_vec();
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            (
+                "memory image is 1099511627776 bytes but the accelerator memory is 10000 bytes",
+                encode(&MemSystemState { len: 1 << 40, ..st.clone() }),
+            ),
+            ("memory page 3 is out of range 0..3", encode(&pages(vec![(3, FULL)]))),
+            (
+                "memory pages are not strictly ascending (page 0 after 2)",
+                encode(&pages(vec![(2, SHORT), (0, FULL)])),
+            ),
+            (
+                "memory pages are not strictly ascending (page 1 after 1)",
+                encode(&pages(vec![(1, FULL), (1, FULL)])),
+            ),
+            ("memory page 2 is 4096 bytes, expected 1808", encode(&pages(vec![(2, FULL)]))),
+            ("memory page 0 is 1808 bytes, expected 4096", encode(&pages(vec![(0, SHORT)]))),
+            (&slot_range, encode(&cache_lines(out_of_range))),
+            ("cache line slots are not strictly ascending", encode(&cache_lines(reversed))),
+            ("cache line slots are not strictly ascending", encode(&cache_lines(repeated))),
+        ];
+        let resume = |payload| {
+            let mut fresh = elaborate(&m, &cfg);
+            fresh.resume(&EngineSnapshot { payload, ..snap.clone() })
+        };
+        for (want, bytes) in cases {
+            let mut payload = snap.payload.clone();
+            payload.splice(at..at + original.len(), bytes);
+            match resume(payload) {
+                Err(SimError::Snapshot(msg)) => assert!(msg.contains(want), "{want}: {msg}"),
+                other => panic!("{want}: expected a snapshot error, got {other:?}"),
+            }
+        }
+        match resume(torn) {
+            Err(SimError::Snapshot(msg)) => {
+                assert!(msg.contains("memory page 0: payload truncated"), "{msg}")
+            }
+            other => panic!("torn page: expected a snapshot error, got {other:?}"),
+        }
+        // The untouched capture resumes to the golden result: the image
+        // comes from the snapshot alone.
+        let mut fresh = elaborate(&m, &cfg);
+        fresh.resume(&snap).unwrap();
+        assert_eq!(fresh.mem().read_bytes(0, 128), golden_pfor(32));
     }
 
     #[test]

@@ -109,8 +109,8 @@ pub mod profile;
 pub mod snapshot;
 
 pub use config::{
-    AcceleratorConfig, AcceleratorConfigBuilder, AdmissionControl, ConfigError, SnapshotConfig,
-    StealConfig,
+    AcceleratorConfig, AcceleratorConfigBuilder, AdmissionControl, ConfigError, Limits,
+    SnapshotConfig, StealConfig,
 };
 pub use engine::{Accelerator, SimError, SimEvent, SimEventKind, SimOutcome, SimStats, UnitStats};
 pub use fault::{

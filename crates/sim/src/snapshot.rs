@@ -38,7 +38,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TAPASNAP";
 
 /// Payload layout version; bumped whenever the engine's encoded state
 /// changes shape. Snapshots from other versions are refused on load.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A captured engine state: the header fields plus the opaque payload the
 /// engine's encoder produced. Obtain one from a periodic write during
